@@ -5,20 +5,17 @@
 // sizes grow, and bus/SRA traffic scales with the matrix area, not with the
 // alignment length.
 //
-// Each entry runs under both Stage-1 executors (lockstep and dataflow), and
-// pruning-heavy entries (the unrelated regime, where most tiles prune) also
-// run with block pruning on. The per-entry "stage-1 dataflow speedup" line is
-// the headline: pruning makes tile costs wildly uneven, which is exactly the
-// load the per-diagonal barrier pays for and the dataflow executor does not.
+// Pruning-heavy entries (the unrelated regime, where most tiles prune) also
+// run with block pruning on.
 //
 // Kernel-pinned rows ([v16] / [striped8] / [striped16]) rerun the plain
-// lockstep configuration with the process-wide kernel override set, so the
+// configuration with the process-wide kernel override set, so the
 // Stage-1 throughput of the auto-vectorized anti-diagonal sweep and the
 // hand-striped Farrar kernels can be compared on identical work. The pin is
 // best-effort by design: tiles outside a kernel's exactness envelope fall
 // back to automatic selection (scores never change, only speed).
 //
-// The [sync-flush] row reruns plain lockstep with --sra-async off: special
+// The [sync-flush] row reruns the plain configuration with --sra-async off: special
 // rows are written (and checkpointed) on the compute thread, the pipeline's
 // pre-overlap behavior. The per-entry "stage-1 async-flush speedup" line
 // against the plain (async-default) row measures the compute/IO overlap the
@@ -38,30 +35,26 @@ namespace {
 
 struct Variant {
   const char* suffix;  ///< Appended to both the table and the JSON label.
-  cudalign::engine::ExecutorKind executor;
   bool prune;
   const char* kernel = "";  ///< Process-wide kernel pin for this row ("" = auto).
   bool sync_flush = false;  ///< Synchronous SRA flushes (--sra-async off).
 };
 
 std::vector<Variant> variants_for(const cudalign::bench::RosterEntry& e) {
-  using cudalign::engine::ExecutorKind;
   std::vector<Variant> v = {
-      {"", ExecutorKind::kLockstep, false},
-      {" [dataflow]", ExecutorKind::kDataflow, false},
+      {"", false},
       // The synchronous flush reference: identical work, but every special
       // row's write + checkpoint blocks the wavefront. The gap against the
       // plain (async) row is the Stage-1 compute/IO overlap win.
-      {" [sync-flush]", ExecutorKind::kLockstep, false, "", true},
-      {" [v16]", ExecutorKind::kLockstep, false, "v16-local+best"},
-      {" [striped8]", ExecutorKind::kLockstep, false, "striped8-local+best"},
-      {" [striped16]", ExecutorKind::kLockstep, false, "striped16-local+best"},
+      {" [sync-flush]", false, "", true},
+      {" [v16]", false, "v16-local+best"},
+      {" [striped8]", false, "striped8-local+best"},
+      {" [striped16]", false, "striped16-local+best"},
   };
   if (!e.related) {
     // Short local optimum: block pruning skips most of the matrix and tile
     // costs become bimodal — the pruning-heavy configuration.
-    v.push_back({" [pruned]", ExecutorKind::kLockstep, true});
-    v.push_back({" [pruned, dataflow]", ExecutorKind::kDataflow, true});
+    v.push_back({" [pruned]", true});
   }
   return v;
 }
@@ -89,16 +82,12 @@ int main(int argc, char** argv) {
 
   for (const auto& e : entries) {
     const auto pair = make_pair(e);
-    // Stage-1 seconds per variant, for the lockstep-vs-dataflow speedup line.
-    double s1_plain[2] = {0, 0};   // [0] lockstep, [1] dataflow.
-    double s1_pruned[2] = {0, 0};
-    bool have_pruned = false;
+    double s1_plain = 0;  // Plain (async-flush) row, for the async-overlap line.
     double s1_v16 = 0, s1_striped8 = 0, s1_striped16 = 0;  // For the striped-vs-v16 speedup line.
     double s1_sync = 0;  // Synchronous-flush reference, for the async-overlap line.
 
     for (const Variant& v : variants_for(e)) {
       core::PipelineOptions options = bench_options();
-      options.executor = v.executor;
       options.block_pruning = v.prune;
       options.sra_async = !v.sync_flush;
       obs::Telemetry telemetry;
@@ -117,13 +106,11 @@ int main(int argc, char** argv) {
       }
       const double total = result.total_seconds();
       const double stage1 = result.stages[0].seconds;
-      const int df = options.executor == engine::ExecutorKind::kDataflow ? 1 : 0;
       if (v.sync_flush) {
         s1_sync = stage1;
-      } else if (v.kernel[0] == '\0') {
-        (v.prune ? s1_pruned : s1_plain)[df] = stage1;
+      } else if (v.kernel[0] == '\0' && !v.prune) {
+        s1_plain = stage1;
       }
-      have_pruned = have_pruned || v.prune;
       if (std::string_view(v.kernel) == "v16-local+best") s1_v16 = stage1;
       if (std::string_view(v.kernel) == "striped8-local+best") s1_striped8 = stage1;
       if (std::string_view(v.kernel) == "striped16-local+best") s1_striped16 = stage1;
@@ -146,28 +133,20 @@ int main(int argc, char** argv) {
                     .set("report", obs::build_run_report(ctx)));
     }
 
-    if (s1_plain[1] > 0) {
-      std::printf("  stage-1 dataflow speedup: %.2fx plain", s1_plain[0] / s1_plain[1]);
-      if (have_pruned && s1_pruned[1] > 0) {
-        std::printf(", %.2fx pruned", s1_pruned[0] / s1_pruned[1]);
-      }
-      std::printf("\n");
-    }
     if (s1_v16 > 0 && s1_striped16 > 0) {
       std::printf("  stage-1 striped16 vs v16 speedup: %.2fx", s1_v16 / s1_striped16);
       if (s1_striped8 > 0) std::printf(", striped8 %.2fx", s1_v16 / s1_striped8);
       std::printf("\n");
     }
-    if (s1_sync > 0 && s1_plain[0] > 0) {
+    if (s1_sync > 0 && s1_plain > 0) {
       std::printf("  stage-1 async-flush speedup: %.2fx (sync %s -> async %s)\n",
-                  s1_sync / s1_plain[0], format_seconds(s1_sync).c_str(),
-                  format_seconds(s1_plain[0]).c_str());
+                  s1_sync / s1_plain, format_seconds(s1_sync).c_str(),
+                  format_seconds(s1_plain).c_str());
     }
   }
 
   std::printf("\nShape check: Stage 1 dominates the total and GCUPS stays near-flat\n"
-              "across sizes (the paper's near-constant MCUPS plateau, Figure 11);\n"
-              "the dataflow executor pulls ahead where pruning skews tile costs.\n");
+              "across sizes (the paper's near-constant MCUPS plateau, Figure 11).\n");
 
   if (json_path != "off") {
     obs::Json doc = obs::Json::object()

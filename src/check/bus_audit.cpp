@@ -28,7 +28,6 @@ const char* rule_name(BusViolation::Rule rule) {
     case BusViolation::Rule::kReadAfterOverwrite: return "read-after-overwrite";
     case BusViolation::Rule::kIllegalReader: return "illegal-reader";
     case BusViolation::Rule::kIllegalWriter: return "illegal-writer";
-    case BusViolation::Rule::kSameDiagonalHazard: return "same-diagonal-hazard";
     case BusViolation::Rule::kOverwriteBeforeRead: return "overwrite-before-read";
     case BusViolation::Rule::kFlushOutOfOrder: return "flush-out-of-order";
   }
@@ -61,7 +60,7 @@ std::string BusViolation::describe() const {
 }
 
 void BusAuditor::begin_run(Index n, Index strips, Index blocks, Index strip_rows,
-                           std::vector<Index> cuts, OrderModel order, Index vplanes) {
+                           std::vector<Index> cuts, Index vplanes) {
   CUDALIGN_CHECK(static_cast<Index>(cuts.size()) == blocks + 1,
                  "bus audit: cuts must have blocks + 1 entries");
   CUDALIGN_CHECK(strip_rows < kVSlotStride, "bus audit: strip height exceeds the slot encoding");
@@ -71,7 +70,6 @@ void BusAuditor::begin_run(Index n, Index strips, Index blocks, Index strip_rows
   strips_ = strips;
   blocks_ = blocks;
   strip_rows_ = strip_rows;
-  order_ = order;
   vplanes_ = vplanes;
   cuts_ = std::move(cuts);
   last_flush_ = BusEndpoint{-1, BusEndpoint::kFlushBlock, -1, 0};
@@ -109,18 +107,11 @@ void BusAuditor::record(BusViolation::Rule rule, bool horizontal, Index slot,
 void BusAuditor::check_read(Shadow& cell, bool horizontal, Index slot,
                             Index expected_writer_strip, const BusEndpoint& reader) {
   ++events_;
+  // No diagonal-barrier rule: the writer merely has to have published first,
+  // and the mutex-serialized event stream IS that order, so a premature read
+  // surfaces here as read-before-write.
   if (!cell.written || cell.writer_strip < expected_writer_strip) {
     record(BusViolation::Rule::kReadBeforeWrite, horizontal, slot, cell.writer, reader);
-  } else if (order_ == OrderModel::kDiagonalBarrier &&
-             (cell.seed ? cell.writer.diagonal > reader.diagonal
-                        : cell.writer.diagonal >= reader.diagonal)) {
-    // Lockstep only: tile-to-tile hand-offs must cross an external-diagonal
-    // barrier; executor seeds happen on the caller thread before the diagonal
-    // launches, so equality is legal for them. Under kTileHappensBefore the
-    // writer merely has to have published first — the mutex-serialized event
-    // stream IS that order, so a premature read already surfaced above as
-    // read-before-write.
-    record(BusViolation::Rule::kSameDiagonalHazard, horizontal, slot, cell.writer, reader);
   }
   cell.read_since_write = true;
   cell.reader = reader;
@@ -252,7 +243,7 @@ void BusAuditor::flush_handoff(Index strip, Index diagonal) {
   ++events_;
   // The prefix property: special rows reach the flush pipeline (and thus the
   // SRA store, the durable-ack queue and the checkpoint cursor) in strictly
-  // ascending strip order under both executors.
+  // ascending strip order, whether strips or diagonals retire.
   if (strip <= last_flush_.strip) {
     record(BusViolation::Rule::kFlushOutOfOrder, true, 0, last_flush_, handoff);
   }

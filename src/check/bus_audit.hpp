@@ -6,39 +6,26 @@
 //
 //   * horizontal bus slot j (a column vertex) is owned by one column chunk b;
 //     it is written exactly once per strip pass — by tile (s, b), holding row
-//     r1 — and read exactly once, by the successor tile (s+1, b), strictly
-//     later in external-diagonal order;
+//     r1 — and read exactly once, by the successor tile (s+1, b);
 //   * vertical bus boundary k is written by tile (s, k-1) (or seeded by the
-//     executor for k = 0) and read by tile (s, k) within the same strip, one
-//     external diagonal later;
-//   * no tile may read a slot before its writer's diagonal has completed
-//     (read-before-write across external diagonals), and no tile may
-//     overwrite a slot whose previous value has not been consumed.
+//     executor for k = 0) and read by tile (s, k) within the same strip;
+//   * no tile may read a slot before its writer has published it, and no
+//     tile may overwrite a slot whose previous value has not been consumed.
 //
-// The auditor is an opt-in shadow recorder: the executor reports every bus
+// The executor runs tiles on a dataflow scheduler with no barrier between
+// external diagonals, so the contract is per-tile happens-before: each
+// slot's writer must have published before its unique reader consumes. The
+// auditor is an opt-in shadow recorder: the executor reports every bus
 // segment read/write with (strip, block, external diagonal, thread)
-// coordinates, the auditor replays them against per-slot shadow state and
-// records violations with BOTH endpoints (the offending access and the access
-// it conflicts with), like a race detector report. The vertical shadow is
-// plane-rotated by strip exactly like the executor's bus (`vplanes` buffers,
-// plane = strip % vplanes): tile (s + 1, b) legitimately writes boundary
-// b + 1 on the very diagonal tile (s, b + 1) reads it, and only the plane
-// split makes that hand-off race-free — a single-buffer shadow would report
-// interleaving-dependent false hazards there (the same-diagonal hazard the
-// paper's minimum size requirement addresses).
-//
-// Two ordering models (OrderModel, chosen per run):
-//
-//   * kDiagonalBarrier (lockstep): tile-to-tile hand-offs must additionally
-//     cross an external-diagonal barrier — a read on its writer's own
-//     diagonal is the same-diagonal hazard, reported even though the values
-//     happen to be correct.
-//   * kTileHappensBefore (dataflow): there is no barrier; the hand-off
-//     contract is per-tile happens-before — each slot's writer must have
-//     published before its unique reader consumes. The auditor's mutex
-//     serializes events in real execution order, so a premature concurrent
-//     read surfaces as read-before-write (or read-after-overwrite) with both
-//     endpoints; the diagonal-barrier rule is deliberately not applied.
+// coordinates, and the auditor's mutex serializes those events in real
+// execution order, so a premature concurrent read surfaces as
+// read-before-write (or read-after-overwrite) with BOTH endpoints (the
+// offending access and the access it conflicts with), like a race detector
+// report. The vertical shadow keeps one plane per (boundary, strip %
+// vplanes) — `vplanes` is the executor's number of rotating strip slots —
+// so reusing a slot before its previous strip consumed its boundaries is a
+// lost hand-off, while tile (s + 1, b) writing boundary b + 1 while tile
+// (s, b + 1) reads it from another slot is legal.
 //
 // Overhead is O(slots touched) per tile plus one mutex acquisition; it is a
 // debug/verification tool (Engine*Audit tests, `cudalign --audit-bus`), not a
@@ -82,7 +69,6 @@ struct BusViolation {
     kReadAfterOverwrite, ///< Read of a slot its own pass already overwrote.
     kIllegalReader,      ///< Read by a block that does not own the hand-off.
     kIllegalWriter,      ///< Write by a block that does not own the slot.
-    kSameDiagonalHazard, ///< Read on the writer's own external diagonal.
     kOverwriteBeforeRead,///< Write destroying a value never consumed.
     kFlushOutOfOrder,    ///< Special-row hand-off out of ascending strip order.
   };
@@ -98,31 +84,23 @@ struct BusViolation {
 
 [[nodiscard]] const char* rule_name(BusViolation::Rule rule);
 
-/// Which happens-before relation a run is audited against (header comment).
-enum class OrderModel : std::uint8_t {
-  kDiagonalBarrier,    ///< Lockstep: hand-offs must cross a diagonal barrier.
-  kTileHappensBefore,  ///< Dataflow: per-tile publish-before-consume only.
-};
-
 class BusAuditor {
  public:
   explicit BusAuditor(std::size_t max_recorded = 32) : max_recorded_(max_recorded) {}
 
   /// Resets shadow state for a new engine run over an n-column problem with
   /// the given chunk boundaries (`cuts`, size blocks + 1). `vplanes` is the
-  /// number of vertical-bus planes the executor rotates (2 for lockstep's
-  /// parity double-buffer; window + 2 for dataflow). Violations and event
-  /// counts accumulate across runs.
+  /// number of strip slots the executor rotates its vertical bus over.
+  /// Violations and event counts accumulate across runs.
   void begin_run(Index n, Index strips, Index blocks, Index strip_rows,
-                 std::vector<Index> cuts, OrderModel order = OrderModel::kDiagonalBarrier,
-                 Index vplanes = 2);
+                 std::vector<Index> cuts, Index vplanes = 2);
 
-  // --- executor seeding (caller thread, before tiles launch) ---------------
+  // --- executor seeding ----------------------------------------------------
 
   /// Row-0 horizontal-bus fill: slots [0..n], conceptually strip -1.
   void seed_horizontal();
   /// Column-0 vertical-bus fill for `strip`, rows [0..rows]; happens on the
-  /// caller thread at external diagonal == strip, before that diagonal runs.
+  /// worker that opens the strip, before its first tile reads it.
   void seed_vertical(Index strip, Index rows);
 
   // --- tile events (worker threads) ----------------------------------------
@@ -191,7 +169,6 @@ class BusAuditor {
   Index strips_ CUDALIGN_GUARDED_BY(mutex_) = 0;
   Index blocks_ CUDALIGN_GUARDED_BY(mutex_) = 0;
   Index strip_rows_ CUDALIGN_GUARDED_BY(mutex_) = 0;
-  OrderModel order_ CUDALIGN_GUARDED_BY(mutex_) = OrderModel::kDiagonalBarrier;
   Index vplanes_ CUDALIGN_GUARDED_BY(mutex_) = 2;
   std::vector<Index> cuts_ CUDALIGN_GUARDED_BY(mutex_);
   /// Per hbus slot [0..n].

@@ -84,6 +84,8 @@ void ThreadPool::worker_loop() {
   }
 }
 
+bool ThreadPool::inside_job() noexcept { return tl_inside_pool_worker; }
+
 void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   if (count == 1 || threads_.size() == 1 || tl_inside_pool_worker) {

@@ -48,6 +48,10 @@ class ThreadPool {
   /// (from inside an iteration) run inline on the calling thread.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
+  /// True on a thread currently running parallel_for iterations (a worker or
+  /// a participating caller) — where nested parallel work must run inline.
+  [[nodiscard]] static bool inside_job() noexcept;
+
   /// Process-wide shared pool (lazily constructed, sized to the hardware).
   static ThreadPool& shared();
 

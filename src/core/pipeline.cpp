@@ -215,7 +215,6 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     c1.grid = options.grid_stage1;
     c1.rows_area = options.flush_special_rows ? &rows_area : nullptr;
     c1.block_pruning = options.block_pruning;
-    c1.executor = options.executor;
     c1.sra_async = options.sra_async;
     c1.bus_audit = options.bus_audit;
     c1.resume_row = resume_row;
@@ -246,7 +245,6 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     if (options.progress) {
       c1.progress = [&](double fraction) { options.progress(1, fraction); };
     }
-    c1.telemetry = telemetry;
     c1.pool = options.pool;
     Stage1Result st1;
     {

@@ -51,11 +51,9 @@ struct PipelineOptions {
 
   bool flush_special_rows = true;   ///< Off = score-only (Table IV "No Flush").
   bool block_pruning = false;       ///< Stage-1 block pruning (engine/executor.hpp).
-  /// Stage-1 tile-grid executor (engine/executor.hpp; `--executor`).
-  /// Deliberately NOT part of the checkpoint envelope: both executors
-  /// produce byte-identical results, so a checkpoint taken under one may be
-  /// resumed under the other.
-  engine::ExecutorKind executor = engine::ExecutorKind::kLockstep;
+  /// Unread; kept only because perfbench/main.cpp assigns it (see
+  /// engine::ExecutorKind).
+  engine::ExecutorKind executor = engine::ExecutorKind::kDataflow;
   /// Asynchronous stage-1 special-row flushing (`--sra-async`; DESIGN.md
   /// "Stage-1 I/O overlap"): rows are handed to a dedicated SRA writer
   /// thread so strip retirement overlaps the CRC'd write + fsync + manifest
@@ -63,8 +61,7 @@ struct PipelineOptions {
   /// only on durable-ack, in row order, so the store, the manifest sequence
   /// and kill-and-resume behavior are byte-identical to the synchronous
   /// path — which stays selectable (`--sra-async=off`) as the reference to
-  /// diff against, mirroring the lockstep/dataflow executor split. Like the
-  /// executor choice, deliberately NOT part of the checkpoint envelope: a
+  /// diff against. Deliberately NOT part of the checkpoint envelope: a
   /// checkpoint taken under one setting may be resumed under the other.
   bool sra_async = true;
   bool save_special_columns = true; ///< Off = skip Stage 3 (Stage 4 absorbs it).
@@ -73,8 +70,8 @@ struct PipelineOptions {
   bool run_stage6 = true;
 
   /// Progress callback: stage (1-6) and completed fraction of that stage's
-  /// cells. Invoked from the driver thread between engine diagonals of Stage
-  /// 1 and between stages otherwise — chromosome-scale runs take hours
+  /// cells. Invoked from the driver thread as Stage-1 strips retire and
+  /// between stages otherwise — chromosome-scale runs take hours
   /// (18.5 h in the paper) and need liveness reporting.
   std::function<void(int stage, double fraction)> progress;
 
@@ -84,8 +81,8 @@ struct PipelineOptions {
   check::BusAuditor* bus_audit = nullptr;
 
   /// Opt-in span telemetry (obs/telemetry.hpp; the CLI's --report): the
-  /// pipeline records a "pipeline" span with one child per stage, Stage 1
-  /// bucketing its external diagonals below that. Driver-thread only; the
+  /// pipeline records a "pipeline" span with one child per stage (Stages 2-4
+  /// add per-iteration / per-phase children). Driver-thread only; the
   /// caller reads the tree after the pipeline returns (obs/report.hpp turns
   /// it plus this result into the versioned JSON run report).
   obs::Telemetry* telemetry = nullptr;

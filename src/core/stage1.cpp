@@ -25,14 +25,12 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
   spec.recurrence = engine::Recurrence::local(config.scheme);
   spec.grid = config.grid;
   spec.block_pruning = config.block_pruning;
-  spec.executor = config.executor;
   spec.start_row = config.resume_row;
   spec.initial_hbus = config.resume_hbus;
   spec.initial_best = config.resume_best;
 
   engine::Hooks hooks;
   hooks.bus_audit = config.bus_audit;
-  hooks.telemetry = config.telemetry;
   if (config.progress) {
     hooks.on_progress = [&](Index done, Index total) {
       config.progress(static_cast<double>(done) / static_cast<double>(total));
@@ -44,37 +42,30 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
         m, n, config.grid.strip_rows(), config.rows_area->budget_bytes());
     hooks.special_row_interval = result.flush_interval;
     if (config.sra_async) {
-      // Async flush pipeline (DESIGN.md "Stage-1 I/O overlap"): the hooks
-      // stage the row on the driver thread and the writer thread performs
-      // the put() + checkpoint ack off the compute critical path. The two
-      // hooks fire back-to-back per flush, so the stage/commit pair always
-      // pairs up; the cells are copied in on_special_row because the span
-      // dies when it returns (engine/executor.hpp).
+      // Async flush pipeline (DESIGN.md "Stage-1 I/O overlap"): the hook
+      // copies the row into the writer's queue on the driver thread and the
+      // writer thread performs the put() + checkpoint ack off the compute
+      // critical path.
       writer.emplace(*config.rows_area);
-      hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells) {
-        writer->stage(sra::RowKey{row, 0, n, config.group}, cells);
-        ++result.special_rows_saved;
-      };
-      hooks.after_special_row = [&](Index row, const dp::LocalBest& best) {
+      hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,
+                                 const dp::LocalBest& best) {
         std::function<void()> ack;
         if (config.on_checkpoint) {
-          const Index rows_saved = result.special_rows_saved;
+          const Index rows_saved = result.special_rows_saved + 1;
           ack = [&config, row, rows_saved, best] { config.on_checkpoint(row, rows_saved, best); };
         }
-        writer->commit(std::move(ack));
-      };
-    } else {
-      hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells) {
-        config.rows_area->put(sra::RowKey{row, 0, n, config.group}, cells);
+        writer->submit(sra::RowKey{row, 0, n, config.group}, cells, std::move(ack));
         ++result.special_rows_saved;
       };
-      if (config.on_checkpoint) {
-        // Runs after on_special_row, so the row the checkpoint references is
-        // already durable (SRA-before-manifest write ordering).
-        hooks.after_special_row = [&](Index row, const dp::LocalBest& best) {
-          config.on_checkpoint(row, result.special_rows_saved, best);
-        };
-      }
+    } else {
+      hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,
+                                 const dp::LocalBest& best) {
+        config.rows_area->put(sra::RowKey{row, 0, n, config.group}, cells);
+        ++result.special_rows_saved;
+        // After the put, so the row the checkpoint references is already
+        // durable (SRA-before-manifest write ordering).
+        if (config.on_checkpoint) config.on_checkpoint(row, result.special_rows_saved, best);
+      };
     }
   }
 

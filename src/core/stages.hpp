@@ -32,9 +32,8 @@ struct StageStats {
   Index blocks_used = 0;     ///< Max B_k actually used (after min-size fits).
   std::size_t ram_bytes = 0; ///< Peak engine bus memory ("VRAM_k").
   Index tiles = 0;           ///< Engine tiles dispatched across all runs.
-  Index diagonals = 0;       ///< External diagonals executed across all runs.
-  /// Dataflow scheduler counters (engine RunStats semantics; 0 under
-  /// lockstep): stolen tiles and empty-handed idle scans, summed over runs.
+  /// Scheduler counters (engine RunStats semantics): stolen tiles and
+  /// empty-handed idle scans, summed over runs.
   Index tiles_stolen = 0;
   Index starvation_waits = 0;
   /// Wavefront bus traffic (engine RunStats semantics, summed over runs).
@@ -72,13 +71,12 @@ struct StageStats {
     }
   }
 
-  /// Folds one complete engine run into this stage: cells, tiles, diagonals,
+  /// Folds one complete engine run into this stage: cells, tiles,
   /// bus traffic and kernel tallies accumulate; blocks and bus memory keep
   /// their high-water marks.
   void add_run(const engine::RunStats& run) {
     cells += run.cells;
     tiles += run.tiles;
-    diagonals += run.diagonals;
     tiles_stolen += run.tiles_stolen;
     starvation_waits += run.starvation_waits;
     hbus_reads += run.hbus_reads;
@@ -103,10 +101,9 @@ struct Stage1Config {
   engine::GridSpec grid = engine::GridSpec::stage1_defaults();
   /// Block pruning (post-paper CUDAlign optimization; engine/executor.hpp).
   bool block_pruning = false;
-  /// Tile-grid executor for the stage-1 wavefront (engine/executor.hpp).
-  /// Stages 2+ always run lockstep: their engine runs use taps and value
-  /// probes, which the dataflow executor rejects.
-  engine::ExecutorKind executor = engine::ExecutorKind::kLockstep;
+  /// Unread; kept only because perfbench/main.cpp assigns it (see
+  /// engine::ExecutorKind).
+  engine::ExecutorKind executor = engine::ExecutorKind::kDataflow;
   /// Flush special rows to `rows_area` (nullptr disables; Table IV's
   /// "No Flush" column).
   sra::SpecialRowsArea* rows_area = nullptr;
@@ -122,7 +119,7 @@ struct Stage1Config {
   dp::LocalBest resume_best;
   /// Asynchronous special-row flushing (DESIGN.md "Stage-1 I/O overlap"):
   /// stage 1 stands up a dedicated SRA writer thread (sra/async_writer.hpp)
-  /// and the flush hooks hand rows off instead of writing inline, so strip
+  /// and the flush hook hands rows off instead of writing inline, so strip
   /// retirement returns to compute immediately. Durable-ack ordering is
   /// preserved — `on_checkpoint` then runs on the writer thread, strictly
   /// after its row's CRC'd write (+ fsync) — and stage 1 drains the writer
@@ -141,10 +138,6 @@ struct Stage1Config {
   std::function<void(double fraction)> progress;
   /// Opt-in bus hand-off verification (engine/executor.hpp Hooks::bus_audit).
   check::BusAuditor* bus_audit = nullptr;
-  /// Opt-in span telemetry (obs/telemetry.hpp): Stage 1 forwards it into the
-  /// engine, which records one span per external-diagonal bucket. Driver
-  /// thread only.
-  obs::Telemetry* telemetry = nullptr;
   ThreadPool* pool = nullptr;
 };
 

@@ -48,6 +48,8 @@ struct LocalBest {
   Score score = 0;
   Index i = 0;  ///< End vertex row (paper's "end position" is this vertex).
   Index j = 0;
+
+  friend bool operator==(const LocalBest&, const LocalBest&) = default;
 };
 
 /// Highest H value and its vertex; ties break toward the smallest (i, j) in

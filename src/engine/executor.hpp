@@ -1,43 +1,46 @@
 // Wavefront executor: the CPU stand-in for the CUDA grid scheduler.
 //
 // The DP matrix is processed as strips (height alpha*T) x chunks (B column
-// chunks). Two registry-selectable executors cover the same tile grid:
+// chunks). Tiles run on the dataflow scheduler (engine/sched.hpp): each tile
+// starts the moment its left-bus and top-bus inputs are published, on
+// work-stealing deques, so a slow tile stalls only its own successors —
+// there is no barrier between external diagonals.
 //
-//   * kLockstep — tiles on the same external diagonal are dispatched to a
-//     thread pool with a barrier per diagonal, exactly the synchronization
-//     the GPU grid provides between external diagonals.
-//   * kDataflow — each tile carries an atomic dependency counter (left-bus +
-//     top-bus inputs) and runs the moment both are published; workers pull
-//     from work-stealing deques (engine/sched.hpp), so a slow tile stalls
-//     only its own successors instead of the whole pool. Hooks are keyed to
-//     the row-completion watermark (strips retire in order on the driver)
-//     rather than to diagonals.
+// Post-processing is deterministic: tiles retire on the caller thread in
+// the order a per-diagonal barrier would post-process them — ascending
+// external diagonal s + b, then ascending strip. Every hook (tap segments, a
+// kStop from on_tap, the first find_value hit, per-strip best folds,
+// special-row flushes) and every RunStats counter therefore sees exactly the
+// same sequence for any worker count, and an early stop counts the tiles up
+// to the stopping tile and no others. When a run has no taps and no value
+// probe, no hook can stop it and none can observe the interleaving of
+// strips, so tiles retire strip by strip instead: the resulting hook
+// sequence is the same (flushes in ascending strip order, each with the best
+// over strips <= s), and the run keeps only window + 1 strips in flight
+// instead of the B + 1 that diagonal retirement needs.
 //
-// Either way, hook callbacks run on the caller thread in deterministic
-// (strip, chunk) order, so results are bit-identical for any worker count —
-// and bit-identical between the two executors (the lockstep schedule is one
-// legal execution of the dataflow dependency graph).
-//
-// Memory is the buses only: O(n) horizontal + O(B * alpha * T) vertical
-// (lockstep double-buffers by strip parity to avoid the same-diagonal
-// write/read hazard the paper's minimum size requirement addresses; dataflow
-// rotates window + 2 planes because up to window + 1 strips are in flight) —
-// the engine is linear-space by construction.
+// Memory is linear: the horizontal bus holds n + 1 cells; each in-flight
+// strip owns one rotating slot (window + 2 slots for strip retirement,
+// B + 2 for diagonal retirement) holding two vertical-bus planes of
+// alpha*T + 1 cells, its tile results and — only on special strips — the
+// special row being captured (n + 1 cells). With strip retirement at most
+// window + 2 special rows are ever held; Stage 1 never keeps more than that
+// many rows in memory however many blocks B the grid has (paper §IV-B: the
+// special rows go from the horizontal bus to disk).
 //
 // Thread-safety discipline: the executor itself owns no atomics and no
-// locks. Every cross-thread hand-off is delegated to the schedulers
-// (common/thread_pool.hpp, engine/sched.hpp) whose shared state carries
-// CUDALIGN_GUARDED_BY annotations and `// order:` justifications
-// (check/annotations.hpp; enforced by cudalint's concurrency rule pack) —
-// tile data itself stays plain because the scheduler edges order it, as the
-// bus auditor (check/bus_audit.hpp) verifies dynamically.
+// locks. Every cross-thread hand-off is delegated to the scheduler
+// (engine/sched.hpp) whose shared state carries CUDALIGN_GUARDED_BY
+// annotations and `// order:` justifications (check/annotations.hpp;
+// enforced by cudalint's concurrency rule pack) — tile data itself stays
+// plain because the scheduler edges order it, as the bus auditor
+// (check/bus_audit.hpp) verifies dynamically.
 //
 // Cells delegation (paper §III-C) note: on the GPU, delegation skews block
-// shapes so the wavefront never drains between external diagonals. A CPU
-// thread pool gets the same effect for free — idle workers pick up any ready
-// tile — so the executor models delegation's *effect* (full parallelism,
-// identical cell counts) rather than its GPU-register mechanics; fill/drain
-// accounting is still reported in RunStats for the benchmarks.
+// shapes so the wavefront never drains between external diagonals. The
+// dataflow scheduler gets the same effect for free — idle workers pick up any
+// ready tile — so the executor models delegation's *effect* (full
+// parallelism, identical cell counts) rather than its GPU-register mechanics.
 #pragma once
 
 #include <array>
@@ -45,7 +48,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -56,24 +58,16 @@ namespace cudalign::check {
 class BusAuditor;
 }
 
-namespace cudalign::obs {
-class Telemetry;
-}
-
 namespace cudalign::engine {
 
-/// Which tile-grid executor drives the run (see the header comment). Both
-/// produce byte-identical results; lockstep is the reference schedule, the
-/// dataflow executor retires the external-diagonal barrier.
+/// The one tile executor. Nothing reads this type: it survives only because
+/// the benchmark driver (perfbench/main.cpp) assigns the fields that carry
+/// it — ProblemSpec::executor, core::Stage1Config::executor and
+/// core::PipelineOptions::executor. Delete the enum and the three fields
+/// together with those assignments.
 enum class ExecutorKind : std::uint8_t {
-  kLockstep,
   kDataflow,
 };
-
-/// Registry name of an executor ("lockstep" / "dataflow").
-[[nodiscard]] const char* executor_name(ExecutorKind kind);
-/// Inverse of executor_name; throws cudalign::Error on unknown names.
-[[nodiscard]] ExecutorKind executor_from_name(std::string_view name);
 
 struct ProblemSpec {
   seq::SequenceView a;  ///< Rows (the problem's local orientation).
@@ -87,13 +81,12 @@ struct ProblemSpec {
   /// pruning bound. The bound is the *ancestor closure*: the best tile score
   /// seen anywhere in the tile's ancestor rectangle (strips <= s, chunks
   /// <= b), seeded with initial_best on resume — a function of the
-  /// dependency DAG alone, so prune decisions are identical under both
-  /// executors and for any worker count (a global evolving best would make
-  /// them schedule-dependent under dataflow). Exact: a tile containing any
-  /// cell of an optimal alignment has bound >= optimum >= closure (the path
-  /// itself gains optimum - prefix with at most min(m - r0, n - c0) diagonal
-  /// steps), so it is never pruned, and pruned tiles publish valid lower
-  /// bounds (H = 0) on their buses. Only meaningful with kLocal; rejected
+  /// dependency DAG alone, so prune decisions are identical for any worker
+  /// count (a global evolving best would make them schedule-dependent).
+  /// Exact: a tile containing any cell of an optimal alignment has bound >=
+  /// optimum >= closure (the path itself gains optimum - prefix with at most
+  /// min(m - r0, n - c0) diagonal steps), so it is never pruned, and pruned
+  /// tiles publish valid lower bounds (H = 0) on their buses. Only meaningful with kLocal; rejected
   /// with taps or probes.
   bool block_pruning = false;
 
@@ -119,12 +112,9 @@ struct ProblemSpec {
   /// bit-identical to an uninterrupted run's.
   dp::LocalBest initial_best;
 
-  /// Tile-grid executor. kDataflow rejects taps and value probes (their
-  /// delivery is keyed to diagonal order); everything else — including
-  /// special rows, checkpointing and resume — behaves identically. The
-  /// choice is deliberately NOT part of the checkpoint envelope: a
-  /// checkpoint taken under one executor may be resumed under the other.
-  ExecutorKind executor = ExecutorKind::kLockstep;
+  /// Unread; kept only because perfbench/main.cpp assigns it (see
+  /// ExecutorKind).
+  ExecutorKind executor = ExecutorKind::kDataflow;
 };
 
 /// Hook verdict after observing a special row / tap segment.
@@ -134,59 +124,45 @@ enum class HookAction {
 };
 
 struct Hooks {
-  /// Flush every `special_row_interval` strips: on_special_row(row, cells)
-  /// receives the complete (H, F) row at vertex row `row` (a multiple of the
-  /// strip height, as in the paper). 0 disables flushing.
+  /// Flush every `special_row_interval` strips: on_special_row(row, cells,
+  /// best_so_far) receives the complete (H, F) row at vertex row `row` (a
+  /// multiple of the strip height, as in the paper) and the run's merged
+  /// best (local mode) over every strip up to that row — everything a
+  /// checkpoint needs to make the flush durable progress. Driver thread,
+  /// ascending rows. The cells span lives in the strip's slot and is reused
+  /// once the hook returns: copy it when deferring the write. 0 disables
+  /// flushing.
   Index special_row_interval = 0;
-  std::function<void(Index row, std::span<const BusCell>)> on_special_row;
-
-  /// Called immediately after on_special_row returns, with the run's merged
-  /// best-so-far (local mode) at that point — everything a checkpoint needs
-  /// to make the flush durable progress. Driver thread, deterministic order.
-  /// The pair is invoked back-to-back per flush, but the cells span handed
-  /// to on_special_row is NOT guaranteed to outlive that call (the lockstep
-  /// executor frees the assembled row before after_special_row) — copy
-  /// inside on_special_row when deferring the write.
-  std::function<void(Index row, const dp::LocalBest& best_so_far)> after_special_row;
+  std::function<void(Index row, std::span<const BusCell> cells, const dp::LocalBest& best_so_far)>
+      on_special_row;
 
   /// Column taps (ascending vertex columns in (0..n]): after each strip, the
   /// hook receives the (H, E) values at the tap column; entry k of the span
   /// is row first_row + k (inclusive). The row-0 boundary values are
   /// delivered once up front as a single-entry span with first_row = 0.
+  /// Segments arrive in tile retirement order (ascending external diagonal,
+  /// then strip); kStop ends the run at that tile.
   std::vector<Index> tap_columns;
   std::function<HookAction(Index col, Index first_row, std::span<const BusCell>)> on_tap;
 
-  /// Probe: report the first cell (row-major over diagonals) whose H equals
-  /// this value, then stop.
+  /// Probe: report the first cell whose H equals this value — first in tile
+  /// retirement order, then row-major within the tile — then stop. A tile's
+  /// hit is checked before its taps are delivered.
   std::optional<Score> find_value;
 
   /// Liveness reporting for long runs: called on the driver thread with
-  /// (tiles done, tiles total). Tile counts — not diagonals — so the
-  /// completion fraction is monotone and comparable under both executors
-  /// (the dataflow executor completes tiles out of diagonal order; lockstep
-  /// reports after each diagonal, dataflow after each retired strip).
+  /// (tiles retired, tiles total) after each retirement unit — monotone.
   std::function<void(Index done, Index total)> on_progress;
 
   /// Opt-in bus access auditor (check/bus_audit.hpp): when set, the executor
   /// reports every horizontal/vertical bus segment read and write with
   /// (strip, block, external diagonal, thread) coordinates and the auditor
-  /// verifies the grid model's happens-before relation — write-once per pass,
-  /// legal successor reads only, no read-before-write across diagonals. The
-  /// caller inspects the auditor after the run. Null = no auditing (one
-  /// branch per tile of overhead).
+  /// verifies the per-tile happens-before relation — write-once per pass,
+  /// legal successor reads only, no read before its write. The caller
+  /// inspects the auditor after the run. Null = no auditing (one branch per
+  /// tile of overhead).
   check::BusAuditor* bus_audit = nullptr;
-
-  /// Opt-in span telemetry (obs/telemetry.hpp): when set, the executor
-  /// records one child span per bucket of external diagonals (at most
-  /// kDiagonalBuckets of them) under the caller's open span — the wavefront
-  /// phase profile behind the run report. Driver-thread only: never pass a
-  /// shared recorder into engine runs launched from pool workers.
-  obs::Telemetry* telemetry = nullptr;
 };
-
-/// Span-bucket cap for Hooks::telemetry (8 buckets ≈ the short phase, the
-/// plateau and the drain of the paper's Figure 5 wavefront profile).
-inline constexpr Index kDiagonalBuckets = 8;
 
 /// Per-kernel-variant tally (indexed by KernelId in RunStats::kernels).
 struct KernelTally {
@@ -201,10 +177,9 @@ struct RunStats {
   WideScore pruned_cells = 0; ///< Cells skipped by block pruning.
   Index pruned_tiles = 0;
   Index tiles = 0;
-  Index diagonals = 0;        ///< External diagonals executed (lockstep; 0 under dataflow).
-  /// Dataflow scheduler counters (0 under lockstep): tiles executed off
-  /// another worker's deque, and idle scans that found every source empty —
-  /// the report's replacement for the lockstep diagonal-bucket profile.
+  /// Scheduler counters: tiles executed off another worker's deque, and
+  /// idle scans that found every source empty (both 0 when the graph runs
+  /// inline on one worker).
   Index tiles_stolen = 0;
   Index starvation_waits = 0;
   Index strips = 0;           ///< Strips fully completed.
@@ -220,11 +195,10 @@ struct RunStats {
   Index hbus_reads = 0, hbus_writes = 0;
   Index vbus_reads = 0, vbus_writes = 0;
   std::int64_t hbus_bytes = 0, vbus_bytes = 0;
-  /// Time the strip-retirement path spent inside the special-row flush hooks
-  /// (on_special_row + after_special_row, both executors): the synchronous
-  /// write cost, or the staging + backpressure cost when the flush pipeline
-  /// is asynchronous (core/stage1.cpp) — the compute-side I/O stall either
-  /// way.
+  /// Time the retirement path spent inside the special-row flush hook: the
+  /// synchronous write cost, or the copy + backpressure cost when the flush
+  /// pipeline is asynchronous (core/stage1.cpp) — the compute-side I/O stall
+  /// either way.
   double special_row_wait_seconds = 0;
   double seconds = 0;
   /// Tiles/cells per kernel variant (pruned tiles are not attributed).
@@ -242,17 +216,20 @@ struct RunResult {
   dp::LocalBest best;          ///< kLocal mode: best H and its vertex.
   bool found = false;          ///< find_value probe hit.
   Index found_i = 0, found_j = 0;
-  bool stopped_early = false;  ///< A hook returned kStop (or probe hit).
+  bool stopped_early = false;  ///< A tap returned kStop, or the probe hit.
   RunStats stats;
 };
 
 /// Runs the wavefront over the whole problem. `pool` defaults to the shared
-/// pool. Deterministic for any worker count.
+/// pool; the graph uses its worker count, and runs inline on the caller when
+/// called from inside one of its jobs (Stage 3's per-partition runs).
+/// Deterministic for any worker count.
 [[nodiscard]] RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks,
                                       ThreadPool* pool = nullptr);
 
-/// Reference single-sweep row visitor equivalent (test oracle): identical
-/// semantics to run_wavefront but via dp::sweep_rows; used in tests only.
+/// Test oracle: identical semantics to run_wavefront — hook sequence, early
+/// stop, best and cells — computed by a plain dp::sweep_rows row sweep that
+/// replays tile events in retirement order from the grid's cuts. No resume.
 [[nodiscard]] RunResult run_reference(const ProblemSpec& spec, const Hooks& hooks);
 
 }  // namespace cudalign::engine

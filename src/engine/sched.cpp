@@ -1,5 +1,6 @@
 #include "engine/sched.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -89,35 +90,41 @@ struct GraphRun {
 
   /// Unsatisfied inputs per tile: (s > 0) + (b > 0).
   std::vector<std::atomic<std::uint8_t>> deps;
-  /// Remaining tiles per strip (for the watermark hand-off to the driver).
-  std::vector<std::atomic<Index>> strip_left;
+  /// Remaining tiles per retirement unit (the hand-off to the driver).
+  std::vector<std::atomic<Index>> unit_left;
 
   /// std::deque, not vector: WorkStealingDeque holds atomics and is immovable.
   std::deque<WorkStealingDeque> deques;
 
-  /// Injector + window gate, one mutex: deque-overflow spillover, parked
-  /// column-0 tiles, and the published watermark the gate tests against.
+  /// Highest unit admitted to run: retired units + window. Written by the
+  /// driver under queue_mutex; workers read it lock-free for the fast path
+  /// and re-check under the mutex before parking a tile.
+  std::atomic<Index> admit_limit{0};
+
+  /// Injector + window gate, one mutex: deque-overflow spillover and tiles
+  /// parked past the admit limit.
   std::mutex queue_mutex;
   std::deque<std::int64_t> injector CUDALIGN_GUARDED_BY(queue_mutex);
-  /// Ascending (column-0 readiness arrives in order).
-  std::deque<Index> parked CUDALIGN_GUARDED_BY(queue_mutex);
-  /// Strips retired by the driver.
-  Index watermark CUDALIGN_GUARDED_BY(queue_mutex) = 0;
+  std::vector<std::int64_t> parked CUDALIGN_GUARDED_BY(queue_mutex);
 
   /// Quiescence epoch + stop flag (early stop or captured exception).
   std::atomic<std::int64_t> tiles_done{0};
   std::atomic<bool> stop{false};
 
-  /// Driver wake-up: strip completion flags and the first captured error.
+  /// Driver wake-up: unit completion flags and the first captured error.
   std::mutex done_mutex;
   std::condition_variable done_cv;
-  std::vector<std::uint8_t> strip_complete CUDALIGN_GUARDED_BY(done_mutex);
+  std::vector<std::uint8_t> unit_complete CUDALIGN_GUARDED_BY(done_mutex);
   std::exception_ptr error CUDALIGN_GUARDED_BY(done_mutex);
 
   std::mutex stats_mutex;
   SchedStats stats CUDALIGN_GUARDED_BY(stats_mutex);
 
   const std::function<void(Index, Index, int)>* body = nullptr;
+
+  [[nodiscard]] Index unit_of(std::int64_t tile) const {
+    return opt.unit_of(tile / opt.blocks, tile % opt.blocks);
+  }
 
   void fail(std::exception_ptr e) {
     {
@@ -137,16 +144,23 @@ struct GraphRun {
     if (!deques[static_cast<std::size_t>(worker)].push(tile)) inject(tile);
   }
 
-  /// Tile (s, 0) just became dependency-free; admit it only if the strip is
-  /// inside the watermark window, otherwise park it for the driver.
-  void gate_strip(int worker, Index s) {
-    bool ready;
+  /// `tile` just became dependency-free; run it only if its unit is inside
+  /// the window, otherwise park it for the driver to release.
+  void gate_tile(int worker, std::int64_t tile) {
+    const Index unit = unit_of(tile);
+    if (unit <= admit_limit.load(std::memory_order_acquire)) {
+      enqueue(worker, tile);
+      return;
+    }
     {
       std::lock_guard<std::mutex> lock(queue_mutex);
-      ready = s <= watermark + opt.window;
-      if (!ready) parked.push_back(s);
+      // order: relaxed — the driver only stores admit_limit under queue_mutex.
+      if (unit > admit_limit.load(std::memory_order_relaxed)) {
+        parked.push_back(tile);
+        return;
+      }
     }
-    if (ready) enqueue(worker, s * opt.blocks);
+    enqueue(worker, tile);
   }
 
   void execute(std::int64_t tile, int worker) {
@@ -164,22 +178,19 @@ struct GraphRun {
     // to whichever worker observes the counter reach zero.
     if (b + 1 < opt.blocks &&
         deps[static_cast<std::size_t>(tile + 1)].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      enqueue(worker, tile + 1);
+      gate_tile(worker, tile + 1);
     }
     if (s + 1 < opt.strips) {
       const std::int64_t down = tile + opt.blocks;
       if (deps[static_cast<std::size_t>(down)].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        if (b == 0) {
-          gate_strip(worker, s + 1);
-        } else {
-          enqueue(worker, down);
-        }
+        gate_tile(worker, down);
       }
     }
     tiles_done.fetch_add(1, std::memory_order_release);
-    if (strip_left[static_cast<std::size_t>(s)].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    const Index unit = opt.unit_of(s, b);
+    if (unit_left[static_cast<std::size_t>(unit)].fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(done_mutex);
-      strip_complete[static_cast<std::size_t>(s)] = 1;
+      unit_complete[static_cast<std::size_t>(unit)] = 1;
       done_cv.notify_all();
     }
   }
@@ -239,11 +250,26 @@ struct GraphRun {
 
 SchedStats run_tile_graph(const SchedOptions& options,
                           const std::function<void(Index s, Index b, int worker)>& body,
-                          const std::function<bool(Index s)>& strip_done) {
+                          const std::function<bool(Index unit)>& unit_done) {
   CUDALIGN_CHECK(options.strips > 0 && options.blocks > 0, "tile graph must be non-empty");
   CUDALIGN_CHECK(options.workers > 0, "tile graph needs at least one worker");
-  CUDALIGN_CHECK(options.window > 0, "strip window must be positive");
+  CUDALIGN_CHECK(options.window > 0, "unit window must be positive");
   CUDALIGN_CHECK(body != nullptr, "tile graph needs a body");
+
+  const Index unit_count = options.unit_count();
+
+  if (options.workers == 1) {
+    // Inline: every unit's tiles in retirement order — a topological order
+    // of the tile graph, since a tile's inputs sit in earlier units (or, for
+    // strip units, earlier in the same unit).
+    SchedStats stats;
+    for (Index u = 0; u < unit_count; ++u) {
+      options.for_each_tile(u, [&](Index s, Index b) { body(s, b, 0); });
+      stats.tiles_executed += options.unit_size(u);
+      if (unit_done && !unit_done(u)) break;
+    }
+    return stats;
+  }
 
   GraphRun run;
   run.opt = options;
@@ -258,14 +284,21 @@ SchedStats run_tile_graph(const SchedOptions& options,
           inputs, std::memory_order_relaxed);
     }
   }
-  run.strip_left = std::vector<std::atomic<Index>>(static_cast<std::size_t>(options.strips));
+  run.unit_left = std::vector<std::atomic<Index>>(static_cast<std::size_t>(unit_count));
+  for (Index u = 0; u < unit_count; ++u) {
+    // order: relaxed — pre-start initialization; thread creation publishes it.
+    run.unit_left[static_cast<std::size_t>(u)].store(options.unit_size(u),
+                                                     std::memory_order_relaxed);
+  }
+  run.unit_complete.assign(static_cast<std::size_t>(unit_count), 0);
   // order: relaxed — pre-start initialization; thread creation publishes it.
-  for (auto& left : run.strip_left) left.store(options.blocks, std::memory_order_relaxed);
-  run.strip_complete.assign(static_cast<std::size_t>(options.strips), 0);
-  // In-flight strips are bounded by window + 1 and each contributes at most
-  // one ready tile (within-strip execution is sequential), so this capacity
-  // is never the limit in practice; overflow spills to the injector anyway.
-  const std::size_t deque_capacity = ceil_pow2(static_cast<std::size_t>(options.window) + 2) * 2;
+  run.admit_limit.store(options.window, std::memory_order_relaxed);
+  // Each in-flight strip contributes at most one ready tile (within-strip
+  // execution is sequential), so this capacity is never the limit in
+  // practice; overflow spills to the injector anyway.
+  const Index in_flight =
+      options.window + 1 + (options.diagonal_units() ? options.blocks - 1 : 0);
+  const std::size_t deque_capacity = ceil_pow2(static_cast<std::size_t>(in_flight) + 1) * 2;
   for (int w = 0; w < options.workers; ++w) run.deques.emplace_back(deque_capacity);
 
   // Seed the root: worker 0's deque starts with tile (0, 0).
@@ -277,37 +310,35 @@ SchedStats run_tile_graph(const SchedOptions& options,
     workers.emplace_back([&run, w] { run.worker_loop(w); });
   }
 
-  // Driver loop: retire strips in ascending order (the row watermark).
+  // Driver loop: retire units in ascending order.
   std::exception_ptr driver_error;
   {
     std::unique_lock<std::mutex> lock(run.done_mutex);
-    for (Index s = 0; s < options.strips; ++s) {
-      run.done_cv.wait(lock, [&run, s] {
-        return run.error != nullptr || run.strip_complete[static_cast<std::size_t>(s)] != 0;
+    for (Index u = 0; u < unit_count; ++u) {
+      run.done_cv.wait(lock, [&run, u] {
+        return run.error != nullptr || run.unit_complete[static_cast<std::size_t>(u)] != 0;
       });
       if (run.error != nullptr) break;
       lock.unlock();
       bool keep_going = true;
-      if (strip_done) {
+      if (unit_done) {
         try {
-          keep_going = strip_done(s);
+          keep_going = unit_done(u);
         } catch (...) {
           driver_error = std::current_exception();
           keep_going = false;
         }
       }
       if (keep_going) {
-        // Advance the watermark and admit parked strips that now fit.
-        std::vector<std::int64_t> released;
-        {
-          std::lock_guard<std::mutex> gate(run.queue_mutex);
-          run.watermark = s + 1;
-          while (!run.parked.empty() && run.parked.front() <= run.watermark + options.window) {
-            released.push_back(run.parked.front() * options.blocks);
-            run.parked.pop_front();
-          }
-          for (std::int64_t tile : released) run.injector.push_back(tile);
+        // Advance the window and release parked tiles that now fit.
+        std::lock_guard<std::mutex> gate(run.queue_mutex);
+        const Index limit = u + 1 + options.window;
+        run.admit_limit.store(limit, std::memory_order_release);
+        const auto fits = [&run, limit](std::int64_t tile) { return run.unit_of(tile) <= limit; };
+        for (std::int64_t tile : run.parked) {
+          if (fits(tile)) run.injector.push_back(tile);
         }
+        std::erase_if(run.parked, fits);
       } else {
         run.stop.store(true, std::memory_order_release);
       }

@@ -43,7 +43,6 @@ Json stage_json(int stage, const core::StageStats& s) {
       .set("tiles", static_cast<std::int64_t>(s.tiles))
       .set("tiles_per_second",
            s.seconds > 0 ? static_cast<double>(s.tiles) / s.seconds : 0.0)
-      .set("diagonals", static_cast<std::int64_t>(s.diagonals))
       .set("tiles_stolen", static_cast<std::int64_t>(s.tiles_stolen))
       .set("starvation_waits", static_cast<std::int64_t>(s.starvation_waits))
       .set("blocks_used", static_cast<std::int64_t>(s.blocks_used))
@@ -115,7 +114,6 @@ Json build_run_report(const ReportContext& ctx) {
                  .set("max_partition_size", static_cast<std::int64_t>(opt.max_partition_size))
                  .set("flush_special_rows", opt.flush_special_rows)
                  .set("block_pruning", opt.block_pruning)
-                 .set("executor", engine::executor_name(opt.executor))
                  .set("save_special_columns", opt.save_special_columns)
                  .set("balanced_splitting", opt.balanced_splitting)
                  .set("orthogonal_stage4", opt.orthogonal_stage4)
@@ -237,7 +235,7 @@ std::vector<std::string> validate_run_report(const Json& report) {
   for (const Json& stage : stages->as_array()) {
     if (!require(stage.is_object(), "stage entry is not an object")) continue;
     for (const char* key :
-         {"stage", "seconds", "cells", "gcups", "tiles", "tiles_per_second", "diagonals",
+         {"stage", "seconds", "cells", "gcups", "tiles", "tiles_per_second",
           "tiles_stolen", "starvation_waits", "hbus", "vbus", "sra"}) {
       require(stage.find(key) != nullptr,
               std::string("stage entry missing key \"") + key + "\"");

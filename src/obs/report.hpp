@@ -16,7 +16,7 @@
 namespace cudalign::obs {
 
 inline constexpr const char* kReportSchemaName = "cudalign-run-report";
-inline constexpr int kReportSchemaVersion = 1;
+inline constexpr int kReportSchemaVersion = 2;
 
 /// Everything the report builder reads. All pointers are borrowed and may not
 /// be null except `telemetry` (omitting it omits the "spans" subtree).
@@ -30,7 +30,7 @@ struct ReportContext {
   const Telemetry* telemetry = nullptr;
 };
 
-/// Builds the schema-v1 report document. Call Telemetry::finish() first so
+/// Builds the schema-v2 report document. Call Telemetry::finish() first so
 /// the span tree is closed and timed.
 [[nodiscard]] Json build_run_report(const ReportContext& ctx);
 

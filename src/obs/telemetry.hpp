@@ -1,12 +1,11 @@
 // Hierarchical run telemetry: a tree of wall-time spans recorded against a
-// monotonic clock (pipeline -> stage -> external-diagonal bucket).
+// monotonic clock (pipeline -> stage -> iteration / phase).
 //
 // Near-zero overhead when idle: every producer holds a `Telemetry*` that is
 // null unless the caller opted in (--report), so the disabled path is one
 // pointer test. The recorder itself is driver-thread-only by design — stages
-// open spans between engine runs and the engine buckets diagonals on the
-// caller thread, exactly where the executor already serializes its hooks;
-// never share one Telemetry across concurrently-running producers.
+// open spans between engine runs, on the caller thread; never share one
+// Telemetry across concurrently-running producers.
 #pragma once
 
 #include <chrono>

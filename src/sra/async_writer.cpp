@@ -23,30 +23,21 @@ AsyncSraWriter::~AsyncSraWriter() {
   if (writer_.joinable()) writer_.join();
 }
 
-void AsyncSraWriter::stage(const RowKey& key, std::span<const engine::BusCell> cells) {
-  CUDALIGN_CHECK(!staged_.has_value(),
-                 "AsyncSraWriter::stage called twice without an intervening commit");
+void AsyncSraWriter::submit(const RowKey& key, std::span<const engine::BusCell> cells,
+                            std::function<void()> on_durable) {
   StagedRow row;
   row.key = key;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!free_buffers_.empty()) {
-      row.cells = std::move(free_buffers_.back());
-      free_buffers_.pop_back();
-    }
-  }
-  // The copy runs outside the lock: it is the bulk of the staging cost and
-  // must not serialize against the writer's retire path.
-  row.cells.assign(cells.begin(), cells.end());
-  staged_.emplace(std::move(row));
-}
-
-void AsyncSraWriter::commit(std::function<void()> on_durable) {
-  CUDALIGN_CHECK(staged_.has_value(), "AsyncSraWriter::commit without a staged row");
-  StagedRow row = std::move(*staged_);
-  staged_.reset();
   row.on_durable = std::move(on_durable);
   std::unique_lock<std::mutex> lock(mutex_);
+  if (!free_buffers_.empty()) {
+    row.cells = std::move(free_buffers_.back());
+    free_buffers_.pop_back();
+  }
+  // The copy runs outside the lock: it is the bulk of the hand-off cost and
+  // must not serialize against the writer's retire path.
+  lock.unlock();
+  row.cells.assign(cells.begin(), cells.end());
+  lock.lock();
   if (failure_ == nullptr && queue_.size() >= capacity_) {
     Timer wait;
     space_cv_.wait(lock, [&] { return failure_ != nullptr || queue_.size() < capacity_; });
@@ -61,12 +52,6 @@ void AsyncSraWriter::commit(std::function<void()> on_durable) {
   queue_.push_back(std::move(row));
   stats_.queue_peak = std::max(stats_.queue_peak, queue_.size());
   work_cv_.notify_one();
-}
-
-void AsyncSraWriter::submit(const RowKey& key, std::span<const engine::BusCell> cells,
-                            std::function<void()> on_durable) {
-  stage(key, cells);
-  commit(std::move(on_durable));
 }
 
 void AsyncSraWriter::drain() {

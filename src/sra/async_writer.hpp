@@ -45,7 +45,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -57,7 +56,7 @@ namespace cudalign::sra {
 
 /// Writer-pipeline accounting for StageStats / the run report (obs/report).
 struct AsyncWriterStats {
-  Index rows_submitted = 0;  ///< Rows handed to the writer (staged + committed).
+  Index rows_submitted = 0;  ///< Rows handed to the writer.
   Index rows_acked = 0;      ///< Rows durably written and acknowledged.
   std::size_t queue_peak = 0;        ///< High-water staged rows in the queue.
   double submit_wait_seconds = 0;    ///< Compute-side backpressure stalls.
@@ -80,22 +79,16 @@ class AsyncSraWriter {
   /// during unwinding; call drain() first to observe errors.
   ~AsyncSraWriter();
 
-  /// Phase 1 of a hand-off: copy `cells` into a staged buffer (recycled from
-  /// the free list when possible). The copy happens on the calling thread
-  /// because the span's storage (the executor's bus planes) may be reused the
-  /// moment the flush hook returns. Must be followed by commit().
-  void stage(const RowKey& key, std::span<const engine::BusCell> cells);
-
-  /// Phase 2: enqueue the staged row for writing, blocking while the queue
-  /// is full (backpressure). `on_durable` — may be empty — runs on the
-  /// writer thread after this row's put() has returned.
-  void commit(std::function<void()> on_durable);
-
-  /// stage() + commit() in one call (single-phase callers and tests).
+  /// Hands one row to the writer: copies `cells` into a buffer recycled
+  /// from the free list (on the calling thread, because the span's storage —
+  /// the executor's strip slot — is reused once the flush hook returns), then
+  /// enqueues it, blocking while the queue is full (backpressure).
+  /// `on_durable` — may be empty — runs on the writer thread after this
+  /// row's put() has returned.
   void submit(const RowKey& key, std::span<const engine::BusCell> cells,
               std::function<void()> on_durable = {});
 
-  /// Blocks until every committed row is durable and acknowledged (or the
+  /// Blocks until every submitted row is durable and acknowledged (or the
   /// writer failed), then rethrows any writer-thread exception. Establishes
   /// the ownership hand-back edge: after drain() returns the caller may
   /// again touch the SpecialRowsArea and the ack callbacks' state.
@@ -114,10 +107,6 @@ class AsyncSraWriter {
 
   SpecialRowsArea& area_;
   const std::size_t capacity_;
-
-  /// Compute-thread-only scratch between stage() and commit(); never touched
-  /// by the writer thread, so deliberately outside the mutex.
-  std::optional<StagedRow> staged_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   ///< Signals the writer: row queued / stop.

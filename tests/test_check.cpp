@@ -240,20 +240,6 @@ TEST_F(BusAuditReplay, ReadBeforeWriteFlagged) {
   EXPECT_EQ(v[0].current.block, 0);
 }
 
-TEST_F(BusAuditReplay, SameDiagonalHazardFlagged) {
-  BusAuditor auditor;
-  legal_prefix(auditor, 1);
-  // Scheduler bug: successor runs on the writer's own external diagonal, so
-  // there is no barrier between the write and this read.
-  auditor.read_horizontal(1, 0, 0, 0, 2);
-  ASSERT_FALSE(auditor.ok());
-  const auto v = auditor.violations();
-  ASSERT_FALSE(v.empty());
-  EXPECT_EQ(v[0].rule, BusViolation::Rule::kSameDiagonalHazard);
-  EXPECT_EQ(v[0].prior.diagonal, 0);
-  EXPECT_EQ(v[0].current.diagonal, 0);
-}
-
 TEST_F(BusAuditReplay, IllegalReaderFlagged) {
   BusAuditor auditor;
   legal_prefix(auditor, 1);
@@ -310,24 +296,22 @@ TEST_F(BusAuditReplay, ViolationRecordingIsCapped) {
 }
 
 // ---------------------------------------------------------------------------
-// Relaxed per-tile happens-before ordering (the dataflow executor's model):
-// the mutex-serialized event stream IS the real publish/consume order, so the
-// same-diagonal rule is off — but a premature read still surfaces as
+// Per-tile happens-before ordering: the mutex-serialized event stream IS the
+// real publish/consume order, so a hand-off on the writer's own external
+// diagonal is legal — but a premature read still surfaces as
 // read-before-write, with both endpoints named.
 // ---------------------------------------------------------------------------
 
 class BusAuditHappensBefore : public BusAuditReplay {
  protected:
   void begin_hb(BusAuditor& a, Index vplanes = 3) {
-    a.begin_run(4, 4, 2, 2, {0, 2, 4}, check::OrderModel::kTileHappensBefore, vplanes);
+    a.begin_run(4, 4, 2, 2, {0, 2, 4}, vplanes);
   }
 };
 
 TEST_F(BusAuditHappensBefore, SameDiagonalHandOffIsLegal) {
-  // Under the dataflow executor tile (1, 0) may start the instant (0, 0)
-  // publishes — no barrier in between. The identical replay trips
-  // kSameDiagonalHazard under the barrier model (SameDiagonalHazardFlagged
-  // above); under happens-before it is clean.
+  // Tile (1, 0) may start the instant (0, 0) publishes — there is no barrier
+  // between external diagonals, so this replay is clean.
   BusAuditor auditor;
   begin_hb(auditor);
   auditor.seed_horizontal();
@@ -417,7 +401,7 @@ TEST_F(BusAuditHappensBefore, ConsumedPlaneIsReusableAfterRotation) {
 TEST(BusAuditModel, RejectsDegeneratePlaneCount) {
   BusAuditor auditor;
   EXPECT_THROW(
-      auditor.begin_run(4, 2, 2, 2, {0, 2, 4}, check::OrderModel::kTileHappensBefore, 1), Error);
+      auditor.begin_run(4, 2, 2, 2, {0, 2, 4}, 1), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -502,9 +486,9 @@ TEST(EngineAudit, CleanWithBlockPruning) {
 }
 
 TEST(EngineAudit, DataflowCleanAcrossShapes) {
-  // The dataflow executor audits itself under the relaxed happens-before
-  // model with its full plane-rotation depth; any scheduler bug that lets a
-  // tile start before its inputs were published lands here.
+  // The executor audits itself under the per-tile happens-before model with
+  // its full slot-rotation depth on a multi-worker pool; any scheduler bug
+  // that lets a tile start before its inputs were published lands here.
   std::uint64_t seed = 33000;
   for (const auto& [blocks, threads, alpha] :
        {std::tuple<Index, Index, Index>{1, 2, 1}, {3, 2, 2}, {4, 4, 1}, {7, 2, 3}}) {
@@ -515,7 +499,6 @@ TEST(EngineAudit, DataflowCleanAcrossShapes) {
     spec.b = b.bases();
     spec.grid = audit_grid(blocks, threads, alpha);
     spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
-    spec.executor = engine::ExecutorKind::kDataflow;
     ThreadPool pool(4);
     check::BusAuditor auditor;
     Hooks hooks;
@@ -535,7 +518,6 @@ TEST(EngineAudit, DataflowCleanWithBlockPruning) {
   spec.grid = audit_grid(6, 4, 2);
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
   spec.block_pruning = true;
-  spec.executor = engine::ExecutorKind::kDataflow;
   ThreadPool pool(4);
   check::BusAuditor auditor;
   Hooks hooks;
@@ -579,9 +561,9 @@ TEST_F(BusAuditReplay, FlushHandoffCleanInAscendingOrder) {
 }
 
 TEST_F(BusAuditReplay, FlushHandoffToleratesSuccessorOverwrites) {
-  // Lockstep assembles rows from per-tile captures, so strip 1's early tiles
-  // may overwrite the hbus before strip 0's hand-off lands on the driver
-  // thread. Equal-or-newer slots are legal; only stale ones are defects.
+  // The executor assembles rows from per-tile captures, so strip 1's early
+  // tiles may overwrite the hbus before strip 0's hand-off lands on the
+  // driver thread. Equal-or-newer slots are legal; only stale ones are defects.
   BusAuditor auditor;
   legal_prefix(auditor, 3);       // Tile (1, 0) already republished slots 1..2.
   auditor.flush_handoff(0, 1);
@@ -639,27 +621,38 @@ TEST_F(BusAuditReplay, FlushStateResetsAcrossRuns) {
 }
 
 TEST(EngineAudit, CleanWithSpecialRowFlushes) {
-  // Both executors must emit their flush hand-offs in ascending strip order
-  // with complete rows — the contract the async SRA writer builds on.
-  for (const auto kind : {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
+  // Strip retirement (no taps) and diagonal retirement (a Stage-2-shaped run
+  // with a tap column and a probe) must both emit their flush hand-offs in
+  // ascending strip order with complete rows — the contract the async SRA
+  // writer builds on.
+  for (const bool stage2_shaped : {false, true}) {
     const auto a = rand_seq(150, 34001);
     const auto b = rand_seq(160, 34002);
     ProblemSpec spec;
     spec.a = a.bases();
     spec.b = b.bases();
     spec.grid = audit_grid(4, 4, 2);
-    spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
-    spec.executor = kind;
+    const auto scheme = scoring::Scheme::paper_defaults();
+    spec.recurrence = stage2_shaped ? engine::Recurrence::global_end(dp::CellState::kH, scheme)
+                                    : engine::Recurrence::local(scheme);
     ThreadPool pool(4);
     check::BusAuditor auditor;
     Hooks hooks;
     hooks.bus_audit = &auditor;
     hooks.special_row_interval = 1;
     Index flushed = 0;
-    hooks.on_special_row = [&](Index, std::span<const engine::BusCell>) { ++flushed; };
+    hooks.on_special_row = [&](Index, std::span<const engine::BusCell>, const dp::LocalBest&) {
+      ++flushed;
+    };
+    if (stage2_shaped) {
+      hooks.tap_columns = {160};
+      hooks.on_tap = [](Index, Index, std::span<const engine::BusCell>) {
+        return engine::HookAction::kContinue;
+      };
+      hooks.find_value = 1 << 20;  // Unreachable: the run completes.
+    }
     (void)engine::run_wavefront(spec, hooks, &pool);
-    EXPECT_TRUE(auditor.ok()) << "executor=" << static_cast<int>(kind) << "\n"
-                              << auditor.report();
+    EXPECT_TRUE(auditor.ok()) << "stage2_shaped=" << stage2_shaped << "\n" << auditor.report();
     EXPECT_GT(flushed, 0) << "case no longer exercises special rows";
   }
 }

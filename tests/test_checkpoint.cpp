@@ -395,9 +395,9 @@ TEST(CheckpointResume, EmptyAlignmentCheckpointCompletes) {
 }
 
 TEST(CheckpointResume, CrossFlushModeResumeIsByteIdentical) {
-  // --sra-async is deliberately NOT part of the checkpoint envelope (like the
-  // executor choice): a run crashed under one flush mode must resume under
-  // the other and still reproduce the uninterrupted alignment byte for byte.
+  // --sra-async is deliberately NOT part of the checkpoint envelope: a run
+  // crashed under one flush mode must resume under the other and still
+  // reproduce the uninterrupted alignment byte for byte.
   const auto pair = seq::make_related_pair(300, 290, 4242);
   PipelineOptions options = small_options();
   const PipelineResult reference = align_pipeline(pair.s0, pair.s1, options);

@@ -153,7 +153,9 @@ TEST(Gotoh, FullMatricesMatchBruteForceEverywhere) {
 // ---------------------------------------------------------------------------
 
 struct BruteCase {
-  int scheme_index;
+  // 64-bit so the struct has no padding: gtest prints the parameter's raw
+  // bytes into the test name, and padding bytes are indeterminate.
+  std::int64_t scheme_index;
   Index m, n;
   std::uint64_t seed;
 };

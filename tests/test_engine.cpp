@@ -4,10 +4,14 @@
 
 #include <cstring>
 #include <map>
+#include <optional>
+#include <string>
+#include <tuple>
 
 #include "common/rng.hpp"
 #include "dp/linear.hpp"
 #include "engine/executor.hpp"
+#include "engine/kernel_registry.hpp"
 #include "test_util.hpp"
 
 namespace cudalign {
@@ -73,6 +77,7 @@ class EngineEquivalence : public ::testing::TestWithParam<EngineCase> {};
 
 struct Captured {
   std::map<Index, std::vector<BusCell>> special_rows;
+  std::map<Index, dp::LocalBest> flush_best;
   std::map<std::pair<Index, Index>, std::vector<BusCell>> taps;  // (col, first_row).
 };
 
@@ -82,8 +87,10 @@ Captured run_with_hooks(const ProblemSpec& spec, Index interval, std::vector<Ind
   Hooks hooks;
   hooks.special_row_interval = interval;
   if (interval > 0) {
-    hooks.on_special_row = [&](Index row, std::span<const BusCell> cells) {
+    hooks.on_special_row = [&](Index row, std::span<const BusCell> cells,
+                               const dp::LocalBest& best) {
       captured.special_rows[row] = std::vector<BusCell>(cells.begin(), cells.end());
+      captured.flush_best[row] = best;
     };
   }
   hooks.tap_columns = std::move(taps);
@@ -130,6 +137,8 @@ TEST_P(EngineEquivalence, MatchesReferenceSweep) {
   for (const auto& [row, cells] : reference_out.special_rows) {
     ASSERT_TRUE(engine_out.special_rows.contains(row)) << "missing special row " << row;
     EXPECT_EQ(engine_out.special_rows.at(row), cells) << "special row " << row;
+    EXPECT_EQ(engine_out.flush_best.at(row), reference_out.flush_best.at(row))
+        << "best at special row " << row;
   }
   ASSERT_EQ(engine_out.taps.size(), reference_out.taps.size());
   for (const auto& [key, cells] : reference_out.taps) {
@@ -209,6 +218,7 @@ TEST_P(EngineFuzz, RandomConfigurationMatchesReference) {
   EXPECT_EQ(eb.i, rb.i);
   EXPECT_EQ(eb.j, rb.j);
   EXPECT_EQ(engine_out.special_rows, reference_out.special_rows);
+  EXPECT_EQ(engine_out.flush_best, reference_out.flush_best);
   EXPECT_EQ(engine_out.taps, reference_out.taps);
 }
 
@@ -372,63 +382,163 @@ TEST(Engine, SpecialRowsNeedSink) {
 }
 
 // ---------------------------------------------------------------------------
-// Dataflow executor vs lockstep. The lockstep schedule is one legal execution
-// of the dependency graph, so everything observable — best cell, cell and
-// prune counts, every flushed special row byte — must be identical for any
-// worker count, with or without pruning, under any pinned kernel.
+// Schedule independence. Tiles run on the dataflow scheduler in any
+// interleaving but retire in a fixed order, so everything observable — best
+// cell, cell and prune counts, kernel tallies, every flushed special row byte
+// and the best handed with it, every tap segment and the stop point — must
+// be identical for any worker count (1 = inline on the caller), ISA and
+// kernel pin, and equal to run_reference.
 // ---------------------------------------------------------------------------
 
-struct ExecRun {
+struct Flush {
+  Index row = 0;
+  std::vector<BusCell> cells;
   dp::LocalBest best;
-  engine::RunStats stats;
-  std::vector<std::pair<Index, std::vector<BusCell>>> flushes;
-  std::vector<dp::LocalBest> flush_best;
 };
 
-ExecRun run_with_executor(ProblemSpec spec, engine::ExecutorKind kind, int workers,
-                          Index interval) {
-  spec.executor = kind;
+struct Tap {
+  Index col = 0, first_row = 0;
+  std::vector<BusCell> cells;
+
+  friend bool operator==(const Tap&, const Tap&) = default;
+};
+
+struct ExecRun {
+  engine::RunResult result;
+  std::vector<Flush> flushes;
+  std::vector<Tap> taps;
+};
+
+/// Runs `spec` with special rows every `interval` strips and the given taps
+/// (stopping once a tap segment starting past `stop_after_row` arrives; 0 =
+/// never), on a pool of `workers` threads — or through run_reference when
+/// `workers` is 0.
+ExecRun run_observed(const ProblemSpec& spec, int workers, Index interval,
+                     std::vector<Index> taps = {}, std::optional<Score> probe = {},
+                     Index stop_after_row = 0) {
   ExecRun out;
   Hooks hooks;
   hooks.special_row_interval = interval;
-  hooks.on_special_row = [&](Index row, std::span<const BusCell> cells) {
-    out.flushes.emplace_back(row, std::vector<BusCell>(cells.begin(), cells.end()));
+  hooks.on_special_row = [&](Index row, std::span<const BusCell> cells,
+                             const dp::LocalBest& best) {
+    out.flushes.push_back({row, {cells.begin(), cells.end()}, best});
   };
-  hooks.after_special_row = [&](Index, const dp::LocalBest& best) {
-    out.flush_best.push_back(best);
+  hooks.tap_columns = std::move(taps);
+  hooks.on_tap = [&](Index col, Index first_row, std::span<const BusCell> cells) {
+    out.taps.push_back({col, first_row, {cells.begin(), cells.end()}});
+    return stop_after_row > 0 && first_row > stop_after_row ? HookAction::kStop
+                                                            : HookAction::kContinue;
   };
-  ThreadPool pool(workers);
-  const auto run = engine::run_wavefront(spec, hooks, &pool);
-  out.best = run.best;
-  out.stats = run.stats;
+  hooks.find_value = probe;
+  if (workers == 0) {
+    out.result = engine::run_reference(spec, hooks);
+  } else {
+    ThreadPool pool(static_cast<std::size_t>(workers));
+    out.result = engine::run_wavefront(spec, hooks, &pool);
+  }
   return out;
 }
 
-void expect_same_run(const ExecRun& want, const ExecRun& got, const std::string& label) {
-  EXPECT_EQ(got.best.score, want.best.score) << label;
-  EXPECT_EQ(got.best.i, want.best.i) << label;
-  EXPECT_EQ(got.best.j, want.best.j) << label;
-  EXPECT_EQ(got.stats.cells, want.stats.cells) << label;
-  EXPECT_EQ(got.stats.pruned_cells, want.stats.pruned_cells) << label;
-  EXPECT_EQ(got.stats.pruned_tiles, want.stats.pruned_tiles) << label;
+void expect_same_best(const dp::LocalBest& want, const dp::LocalBest& got,
+                      const std::string& label) {
+  EXPECT_EQ(got.score, want.score) << label;
+  EXPECT_EQ(got.i, want.i) << label;
+  EXPECT_EQ(got.j, want.j) << label;
+}
+
+/// `got` must reproduce `want`'s observable behaviour. The reference has no
+/// kernel tallies and prunes nothing, so against it the tallies are skipped
+/// and pruned cells count as computed.
+void expect_same_run(const ExecRun& want, const ExecRun& got, const std::string& label,
+                     bool want_is_reference = false) {
+  const engine::RunResult& w = want.result;
+  const engine::RunResult& g = got.result;
+  expect_same_best(w.best, g.best, label);
+  EXPECT_EQ(g.found, w.found) << label;
+  EXPECT_EQ(g.found_i, w.found_i) << label;
+  EXPECT_EQ(g.found_j, w.found_j) << label;
+  EXPECT_EQ(g.stopped_early, w.stopped_early) << label;
+  EXPECT_EQ(g.stats.tiles, w.stats.tiles) << label;
+  EXPECT_EQ(g.stats.strips, w.stats.strips) << label;
+  if (want_is_reference) {
+    EXPECT_EQ(g.stats.cells + g.stats.pruned_cells, w.stats.cells) << label;
+  } else {
+    EXPECT_EQ(g.stats.cells, w.stats.cells) << label;
+    EXPECT_EQ(g.stats.pruned_cells, w.stats.pruned_cells) << label;
+    EXPECT_EQ(g.stats.pruned_tiles, w.stats.pruned_tiles) << label;
+    EXPECT_EQ(g.stats.kernels, w.stats.kernels) << label;
+    EXPECT_EQ(g.stats.hbus_bytes, w.stats.hbus_bytes) << label;
+    EXPECT_EQ(g.stats.vbus_bytes, w.stats.vbus_bytes) << label;
+  }
+  EXPECT_TRUE(got.taps == want.taps) << label << ": tap sequences differ";
   ASSERT_EQ(got.flushes.size(), want.flushes.size()) << label;
   for (std::size_t k = 0; k < want.flushes.size(); ++k) {
-    EXPECT_EQ(got.flushes[k].first, want.flushes[k].first) << label;
-    ASSERT_EQ(got.flushes[k].second.size(), want.flushes[k].second.size()) << label;
-    EXPECT_EQ(std::memcmp(got.flushes[k].second.data(), want.flushes[k].second.data(),
-                          want.flushes[k].second.size() * sizeof(BusCell)),
+    EXPECT_EQ(got.flushes[k].row, want.flushes[k].row) << label;
+    ASSERT_EQ(got.flushes[k].cells.size(), want.flushes[k].cells.size()) << label;
+    EXPECT_EQ(std::memcmp(got.flushes[k].cells.data(), want.flushes[k].cells.data(),
+                          want.flushes[k].cells.size() * sizeof(BusCell)),
               0)
-        << label << " flushed row " << want.flushes[k].first << " diverged";
-  }
-  ASSERT_EQ(got.flush_best.size(), want.flush_best.size()) << label;
-  for (std::size_t k = 0; k < want.flush_best.size(); ++k) {
-    EXPECT_EQ(got.flush_best[k].score, want.flush_best[k].score) << label;
-    EXPECT_EQ(got.flush_best[k].i, want.flush_best[k].i) << label;
-    EXPECT_EQ(got.flush_best[k].j, want.flush_best[k].j) << label;
+        << label << " flushed row " << want.flushes[k].row << " diverged";
+    expect_same_best(want.flushes[k].best, got.flushes[k].best,
+                     label + " best at row " + std::to_string(want.flushes[k].row));
   }
 }
 
-TEST(DataflowEquivalence, MatchesLockstepAcrossShapesWorkersPruningAndKernels) {
+/// Calls `body(isa)` with each SIMD backend pinned that this build and CPU
+/// support, then clears the pin.
+template <typename Body>
+void for_each_available_isa(Body&& body) {
+  for (const engine::SimdIsa isa : {engine::SimdIsa::kGeneric, engine::SimdIsa::kSse2,
+                                    engine::SimdIsa::kAvx2, engine::SimdIsa::kAvx512}) {
+    try {
+      engine::set_simd_isa_override(isa);
+    } catch (const Error&) {
+      continue;  // Backend not compiled in / CPU lacks it.
+    }
+    body(isa);
+  }
+  engine::clear_simd_isa_override();
+}
+
+TEST(ScheduleIndependence, MatchesReferenceAcrossShapesWorkersPruningIsasAndFlush) {
+  std::uint64_t seed = 61000;
+  for (const auto& [blocks, threads, alpha] :
+       {std::tuple<Index, Index, Index>{1, 2, 1}, {3, 2, 2}, {4, 4, 1}, {7, 2, 3}}) {
+    const auto pair = seq::make_related_pair(230, 240, seed++);
+    ProblemSpec spec;
+    spec.a = pair.s0.bases();
+    spec.b = pair.s1.bases();
+    spec.grid = tiny_grid(blocks, threads, alpha);
+    spec.recurrence = engine::Recurrence::local(paper());
+    for (const Index interval : {Index{0}, Index{2}}) {
+      const ExecRun reference = run_observed(spec, 0, interval);
+      for (const bool prune : {false, true}) {
+        spec.block_pruning = prune;
+        for_each_available_isa([&](engine::SimdIsa isa) {
+          const std::string shape =
+              "B=" + std::to_string(blocks) + " T=" + std::to_string(threads) +
+              " a=" + std::to_string(alpha) + " interval=" + std::to_string(interval) +
+              " prune=" + (prune ? "1" : "0") + " isa=" + std::string(engine::simd_isa_name(isa));
+          // Pruned tiles publish lower bounds, so flushed rows of a pruned run
+          // differ from the exact DP: there the inline run is the baseline
+          // and the reference only checks the best cell.
+          const ExecRun inline_run = run_observed(spec, 1, interval);
+          expect_same_best(reference.result.best, inline_run.result.best, shape);
+          if (!prune) expect_same_run(reference, inline_run, shape, /*want_is_reference=*/true);
+          for (const int workers : {2, 4, 8}) {
+            expect_same_run(inline_run, run_observed(spec, workers, interval),
+                            shape + " workers=" + std::to_string(workers));
+          }
+        });
+      }
+    }
+  }
+}
+
+// A checkpoint carries no schedule: a run resumed from a flushed special row
+// on an executor of any width (1/2/4/8 workers) and under any ISA must
+// reproduce the uninterrupted inline run's remaining flushes and final best.
+TEST(Engine, DataflowResumeFromSpecialRowMatchesFullRunAcrossExecutors) {
   std::uint64_t seed = 61000;
   for (const auto& [blocks, threads, alpha] :
        {std::tuple<Index, Index, Index>{1, 2, 1}, {3, 2, 2}, {4, 4, 1}, {7, 2, 3}}) {
@@ -440,26 +550,123 @@ TEST(DataflowEquivalence, MatchesLockstepAcrossShapesWorkersPruningAndKernels) {
     spec.recurrence = engine::Recurrence::local(paper());
     for (const bool prune : {false, true}) {
       spec.block_pruning = prune;
-      for (const char* kernel : {"", "scalar-local+best"}) {
-        spec.kernel_override = kernel;
-        const ExecRun lockstep =
-            run_with_executor(spec, engine::ExecutorKind::kLockstep, 1, 2);
-        for (const int workers : {1, 4}) {
-          std::string label = "B=" + std::to_string(blocks) + " T=" + std::to_string(threads) +
-                              " a=" + std::to_string(alpha) + " prune=" + (prune ? "1" : "0") +
-                              " kernel=" + (kernel[0] ? kernel : "auto") +
-                              " workers=" + std::to_string(workers);
-          const ExecRun dataflow =
-              run_with_executor(spec, engine::ExecutorKind::kDataflow, workers, 2);
-          expect_same_run(lockstep, dataflow, label);
-          EXPECT_EQ(dataflow.stats.diagonals, 0) << label;
+      for_each_available_isa([&](engine::SimdIsa isa) {
+        const std::string shape =
+            "B=" + std::to_string(blocks) + " T=" + std::to_string(threads) +
+            " a=" + std::to_string(alpha) + " prune=" + (prune ? "1" : "0") +
+            " isa=" + std::string(engine::simd_isa_name(isa));
+        const ExecRun full = run_observed(spec, 1, 2);
+        ASSERT_GE(full.flushes.size(), 2u) << shape;
+        ProblemSpec resumed = spec;
+        resumed.start_row = full.flushes[0].row;
+        resumed.initial_hbus = full.flushes[0].cells;
+        resumed.initial_best = full.flushes[0].best;
+        for (const int workers : {1, 2, 4, 8}) {
+          const std::string label = shape + " workers=" + std::to_string(workers);
+          const ExecRun tail = run_observed(resumed, workers, 2);
+          expect_same_best(full.result.best, tail.result.best, label);
+          ASSERT_EQ(tail.flushes.size(), full.flushes.size() - 1) << label;
+          for (std::size_t k = 0; k < tail.flushes.size(); ++k) {
+            const Flush& want = full.flushes[k + 1];
+            EXPECT_EQ(tail.flushes[k].row, want.row) << label;
+            EXPECT_EQ(tail.flushes[k].cells, want.cells) << label << " row " << want.row;
+            expect_same_best(want.best, tail.flushes[k].best, label + " best");
+          }
         }
-      }
+      });
     }
   }
 }
 
-TEST(DataflowEquivalence, StealHeavyGridMatchesLockstep) {
+/// A Stage-2-shaped problem: reverse global recurrence, B >= 4 chunks, one
+/// tap column at the last column (the matching vector) and special rows.
+struct Stage2Shape {
+  seq::Sequence a, b;
+  ProblemSpec spec;
+};
+
+Stage2Shape stage2_shape(std::uint64_t seed) {
+  Stage2Shape shape{rand_seq(180, seed), rand_seq(96, seed + 1), {}};
+  shape.spec.a = shape.a.bases();
+  shape.spec.b = shape.b.bases();
+  shape.spec.grid = tiny_grid(6, 4, 2);  // 96 >= 2 * 6 * 4: all six chunks stay.
+  shape.spec.recurrence = engine::Recurrence::global_end(CellState::kH, paper());
+  return shape;
+}
+
+/// An H value of `spec`'s recurrence that occurs exactly once in the
+/// matrix, at a row >= min_row: a probe that hits late in the run.
+Score unique_late_h(const ProblemSpec& spec, Index min_row) {
+  std::map<Score, std::pair<int, Index>> seen;  // Value -> (count, first row).
+  (void)dp::sweep_rows_from(spec.a, spec.b, spec.recurrence.scheme, spec.recurrence.corner,
+                            [&](const dp::RowView& row) {
+                              for (std::size_t j = 1; j < row.h.size(); ++j) {
+                                auto& [count, first_row] = seen[row.h[j]];
+                                if (count++ == 0) first_row = row.i;
+                              }
+                            });
+  for (const auto& [value, where] : seen) {
+    if (where.first == 1 && where.second >= min_row) return value;
+  }
+  ADD_FAILURE() << "no unique H value at row >= " << min_row;
+  return 0;
+}
+
+TEST(ScheduleIndependence, Stage2ShapedRunIsIdenticalAcrossWorkerCounts) {
+  const Stage2Shape shape = stage2_shape(65001);
+  ASSERT_GE(engine::fit_to_width(shape.spec.grid, 96).blocks, 4);
+  const Score probe = unique_late_h(shape.spec, 100);
+  // Probe only, probe + a tap stop, and a tap stop alone.
+  for (const auto& [use_probe, stop_after_row] :
+       {std::pair<bool, Index>{true, 0}, {true, 60}, {false, 60}}) {
+    const std::optional<Score> value = use_probe ? std::optional<Score>(probe) : std::nullopt;
+    const ExecRun reference = run_observed(shape.spec, 0, 2, {96}, value, stop_after_row);
+    EXPECT_TRUE(reference.result.stopped_early);
+    EXPECT_GT(reference.taps.size(), 2u);
+    EXPECT_FALSE(reference.flushes.empty());
+    const ExecRun one = run_observed(shape.spec, 1, 2, {96}, value, stop_after_row);
+    const std::string label = "probe=" + std::to_string(use_probe) +
+                              " stop_after_row=" + std::to_string(stop_after_row);
+    expect_same_run(reference, one, label + " vs reference", /*want_is_reference=*/true);
+    EXPECT_LT(one.result.stats.cells, 180 * 96) << label;
+    for (const int workers : {2, 4, 8}) {
+      expect_same_run(one, run_observed(shape.spec, workers, 2, {96}, value, stop_after_row),
+                      label + " workers=" + std::to_string(workers));
+    }
+  }
+}
+
+TEST(ScheduleIndependence, EarlierDiagonalProbeHitBeatsLaterTapStop) {
+  // 40 x 40, strips of 4 rows, four chunks of 10 columns. All mismatches
+  // (H = 0) except a planted 5 x 5 block of matches whose corner (16, 8) is
+  // the only cell with H = 5: tile (3, 0), external diagonal 3. The tap at
+  // column 40 lives in chunk 3 and stops the run at strip 1, i.e. tile
+  // (1, 3) on diagonal 4 — retired strip by strip the stop would come first.
+  std::string a_text(40, 'A'), b_text(40, 'C');
+  a_text.replace(11, 5, "GGGGG");
+  b_text.replace(3, 5, "GGGGG");
+  const auto a = seq::Sequence::from_string("a", a_text);
+  const auto b = seq::Sequence::from_string("b", b_text);
+  ProblemSpec spec;
+  spec.a = a.bases();
+  spec.b = b.bases();
+  spec.grid = tiny_grid(4, 2, 2);
+  spec.recurrence = engine::Recurrence::local(paper());
+  const ExecRun reference = run_observed(spec, 0, 0, {40}, Score{5}, /*stop_after_row=*/4);
+  ASSERT_TRUE(reference.result.found);
+  EXPECT_EQ(reference.result.found_i, 16);
+  EXPECT_EQ(reference.result.found_j, 8);
+  // Row 0 and strip 0 (tile (0, 3), diagonal 3, retired before (3, 0)); the
+  // stopping segment of strip 1 is never delivered.
+  ASSERT_EQ(reference.taps.size(), 2u);
+  EXPECT_EQ(reference.taps[1].first_row, 1);
+  for (const int workers : {1, 2, 4, 8}) {
+    expect_same_run(reference, run_observed(spec, workers, 0, {40}, Score{5}, 4),
+                    "workers=" + std::to_string(workers), /*want_is_reference=*/true);
+  }
+}
+
+TEST(DataflowEquivalence, StealHeavyGridMatchesReference) {
   // Many tiny tiles (200 strips x 8 chunks of height 2) with more workers
   // than chunks: maximizes steals, parking and starvation scans. Primarily a
   // ThreadSanitizer target — the CI TSan lane runs the full suite.
@@ -470,11 +677,16 @@ TEST(DataflowEquivalence, StealHeavyGridMatchesLockstep) {
   spec.grid = tiny_grid(8, 2, 1);
   spec.recurrence = engine::Recurrence::local(paper());
   spec.block_pruning = true;
-  const ExecRun lockstep = run_with_executor(spec, engine::ExecutorKind::kLockstep, 4, 4);
-  const ExecRun dataflow = run_with_executor(spec, engine::ExecutorKind::kDataflow, 8, 4);
-  expect_same_run(lockstep, dataflow, "steal-heavy");
-  EXPECT_EQ(lockstep.stats.tiles_stolen, 0);
-  EXPECT_EQ(lockstep.stats.starvation_waits, 0);
+  // Pruned tiles publish lower bounds, so the inline run is the baseline
+  // for flushed bytes and the reference checks the best cell.
+  const ExecRun reference = run_observed(spec, 0, 4);
+  const ExecRun inline_run = run_observed(spec, 1, 4);
+  const ExecRun dataflow = run_observed(spec, 8, 4);
+  expect_same_best(reference.result.best, dataflow.result.best, "steal-heavy");
+  expect_same_run(inline_run, dataflow, "steal-heavy vs inline");
+  EXPECT_GT(dataflow.result.stats.pruned_tiles, 0);
+  EXPECT_EQ(inline_run.result.stats.tiles_stolen, 0);
+  EXPECT_EQ(inline_run.result.stats.starvation_waits, 0);
 }
 
 TEST(DataflowEquivalence, DegenerateGeometries) {
@@ -486,23 +698,27 @@ TEST(DataflowEquivalence, DegenerateGeometries) {
     spec.b = b.bases();
     spec.grid = tiny_grid(8, 8, 4);  // Grid larger than the problem.
     spec.recurrence = engine::Recurrence::local(paper());
-    const ExecRun lockstep = run_with_executor(spec, engine::ExecutorKind::kLockstep, 1, 1);
-    const ExecRun dataflow = run_with_executor(spec, engine::ExecutorKind::kDataflow, 4, 1);
-    expect_same_run(lockstep, dataflow, "m=" + std::to_string(m) + " n=" + std::to_string(n));
+    expect_same_run(run_observed(spec, 0, 1), run_observed(spec, 4, 1),
+                    "m=" + std::to_string(m) + " n=" + std::to_string(n),
+                    /*want_is_reference=*/true);
   }
 }
 
 TEST(DataflowProgress, PerTileFractionIsMonotoneAndComplete) {
   const auto a = rand_seq(200, 63001);
   const auto b = rand_seq(210, 63002);
-  for (const auto kind : {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
+  // Strip retirement, and diagonal retirement (a tap column).
+  for (const bool with_tap : {false, true}) {
     ProblemSpec spec;
     spec.a = a.bases();
     spec.b = b.bases();
     spec.grid = tiny_grid(4, 4, 2);
     spec.recurrence = engine::Recurrence::local(paper());
-    spec.executor = kind;
     Hooks hooks;
+    if (with_tap) {
+      hooks.tap_columns = {100};
+      hooks.on_tap = [](Index, Index, std::span<const BusCell>) { return HookAction::kContinue; };
+    }
     Index last_done = 0, last_total = 0;
     int calls = 0;
     hooks.on_progress = [&](Index done, Index total) {
@@ -514,39 +730,36 @@ TEST(DataflowProgress, PerTileFractionIsMonotoneAndComplete) {
     };
     ThreadPool pool(4);
     (void)engine::run_wavefront(spec, hooks, &pool);
-    EXPECT_GT(calls, 1) << executor_name(kind);
-    EXPECT_EQ(last_done, last_total) << executor_name(kind);
-    EXPECT_GT(last_total, 0) << executor_name(kind);
+    EXPECT_GT(calls, 1) << "with_tap=" << with_tap;
+    EXPECT_EQ(last_done, last_total) << "with_tap=" << with_tap;
+    EXPECT_GT(last_total, 0) << "with_tap=" << with_tap;
   }
 }
 
-TEST(Dataflow, RejectsTapsAndValueProbes) {
-  const auto a = rand_seq(50, 64001);
+TEST(Engine, NestedCallInsidePoolJobRunsInline) {
+  // Stage 3 runs one engine problem per partition from inside
+  // pool.parallel_for: those runs execute on the calling thread and must
+  // match a top-level run exactly.
+  const auto pair = seq::make_related_pair(150, 160, 66001);
   ProblemSpec spec;
-  spec.a = a.bases();
-  spec.b = a.bases();
-  spec.grid = tiny_grid(2, 2, 2);
-  spec.recurrence = engine::Recurrence::local(paper());
-  spec.executor = engine::ExecutorKind::kDataflow;
-  {
+  spec.a = pair.s0.bases();
+  spec.b = pair.s1.bases();
+  spec.grid = tiny_grid(4, 4, 2);
+  spec.recurrence = engine::Recurrence::global_start(CellState::kH, paper());
+  const ExecRun top = run_observed(spec, 4, 1, {40, 160});
+  ThreadPool pool(4);
+  std::vector<engine::RunResult> nested(8);
+  pool.parallel_for(nested.size(), [&](std::size_t k) {
     Hooks hooks;
-    hooks.tap_columns = {10};
+    hooks.tap_columns = {40, 160};
     hooks.on_tap = [](Index, Index, std::span<const BusCell>) { return HookAction::kContinue; };
-    EXPECT_THROW((void)engine::run_wavefront(spec, hooks), Error);
+    nested[k] = engine::run_wavefront(spec, hooks, &pool);
+  });
+  for (const engine::RunResult& run : nested) {
+    EXPECT_EQ(run.stats.cells, top.result.stats.cells);
+    EXPECT_EQ(run.stats.kernels, top.result.stats.kernels);
+    EXPECT_EQ(run.stats.tiles_stolen, 0);  // Inline: no graph workers.
   }
-  {
-    Hooks hooks;
-    hooks.find_value = 5;
-    EXPECT_THROW((void)engine::run_wavefront(spec, hooks), Error);
-  }
-}
-
-TEST(Dataflow, ExecutorRegistryNamesRoundTrip) {
-  EXPECT_STREQ(engine::executor_name(engine::ExecutorKind::kLockstep), "lockstep");
-  EXPECT_STREQ(engine::executor_name(engine::ExecutorKind::kDataflow), "dataflow");
-  EXPECT_EQ(engine::executor_from_name("lockstep"), engine::ExecutorKind::kLockstep);
-  EXPECT_EQ(engine::executor_from_name("dataflow"), engine::ExecutorKind::kDataflow);
-  EXPECT_THROW((void)engine::executor_from_name("warp"), Error);
 }
 
 // The checkpoint/resume contract at the engine layer: restarting from a
@@ -562,20 +775,13 @@ TEST(Engine, ResumeFromSpecialRowMatchesFullRun) {
   spec.grid = tiny_grid(3, 8, 2);  // Strip height 16.
   spec.recurrence = engine::Recurrence::local(paper());
 
-  struct Flush {
-    Index row;
-    std::vector<BusCell> bus;
-    dp::LocalBest best;
-  };
   const auto collect = [&](ProblemSpec run_spec) {
     std::vector<Flush> flushes;
     Hooks hooks;
     hooks.special_row_interval = 2;  // Every 32 rows.
-    hooks.on_special_row = [&](Index row, std::span<const BusCell> bus) {
-      flushes.push_back({row, {bus.begin(), bus.end()}, {}});
-    };
-    hooks.after_special_row = [&](Index, const dp::LocalBest& best) {
-      flushes.back().best = best;
+    hooks.on_special_row = [&](Index row, std::span<const BusCell> bus,
+                               const dp::LocalBest& best) {
+      flushes.push_back({row, {bus.begin(), bus.end()}, best});
     };
     const auto run = engine::run_wavefront(run_spec, hooks);
     return std::pair{flushes, run.best};
@@ -587,7 +793,7 @@ TEST(Engine, ResumeFromSpecialRowMatchesFullRun) {
   const Flush& middle = full_flushes[1];
   ProblemSpec resumed_spec = spec;
   resumed_spec.start_row = middle.row;
-  resumed_spec.initial_hbus = middle.bus;
+  resumed_spec.initial_hbus = middle.cells;
   resumed_spec.initial_best = middle.best;
   const auto [resumed_flushes, resumed_best] = collect(resumed_spec);
 
@@ -599,62 +805,13 @@ TEST(Engine, ResumeFromSpecialRowMatchesFullRun) {
     const Flush& want = full_flushes[k + 2];
     const Flush& got = resumed_flushes[k];
     EXPECT_EQ(got.row, want.row);
-    ASSERT_EQ(got.bus.size(), want.bus.size());
-    EXPECT_EQ(std::memcmp(got.bus.data(), want.bus.data(), got.bus.size() * sizeof(BusCell)), 0)
+    ASSERT_EQ(got.cells.size(), want.cells.size());
+    EXPECT_EQ(std::memcmp(got.cells.data(), want.cells.data(), got.cells.size() * sizeof(BusCell)),
+              0)
         << "flushed row " << got.row << " diverged after resume";
     EXPECT_EQ(got.best.score, want.best.score);
     EXPECT_EQ(got.best.i, want.best.i);
     EXPECT_EQ(got.best.j, want.best.j);
-  }
-}
-
-// Same contract under the dataflow executor, in all four full/resume executor
-// pairings: the executor is deliberately not part of the checkpoint envelope,
-// so a checkpoint taken under one must resume byte-identically under the
-// other.
-TEST(Engine, DataflowResumeFromSpecialRowMatchesFullRunAcrossExecutors) {
-  const auto a = rand_seq(250, 2301);
-  const auto b = rand_seq(240, 2302);
-  ProblemSpec spec;
-  spec.a = a.bases();
-  spec.b = b.bases();
-  spec.grid = tiny_grid(3, 8, 2);  // Strip height 16.
-  spec.recurrence = engine::Recurrence::local(paper());
-
-  const auto collect = [&](ProblemSpec run_spec, engine::ExecutorKind kind) {
-    return run_with_executor(std::move(run_spec), kind, 4, 2);  // Every 32 rows.
-  };
-
-  const ExecRun full = collect(spec, engine::ExecutorKind::kLockstep);
-  ASSERT_GE(full.flushes.size(), 3u);
-  const auto& [middle_row, middle_bus] = full.flushes[1];
-  ProblemSpec resumed_spec = spec;
-  resumed_spec.start_row = middle_row;
-  resumed_spec.initial_hbus = middle_bus;
-  resumed_spec.initial_best = full.flush_best[1];
-
-  for (const auto full_kind :
-       {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
-    const ExecRun whole = collect(spec, full_kind);
-    expect_same_run(full, whole, std::string("full under ") + executor_name(full_kind));
-    for (const auto resume_kind :
-         {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
-      const std::string label = std::string("full ") + executor_name(full_kind) + " -> resume " +
-                                executor_name(resume_kind);
-      const ExecRun resumed = collect(resumed_spec, resume_kind);
-      EXPECT_EQ(resumed.best.score, full.best.score) << label;
-      EXPECT_EQ(resumed.best.i, full.best.i) << label;
-      EXPECT_EQ(resumed.best.j, full.best.j) << label;
-      ASSERT_EQ(resumed.flushes.size(), full.flushes.size() - 2) << label;
-      for (std::size_t k = 0; k < resumed.flushes.size(); ++k) {
-        EXPECT_EQ(resumed.flushes[k].first, full.flushes[k + 2].first) << label;
-        ASSERT_EQ(resumed.flushes[k].second.size(), full.flushes[k + 2].second.size()) << label;
-        EXPECT_EQ(std::memcmp(resumed.flushes[k].second.data(), full.flushes[k + 2].second.data(),
-                              resumed.flushes[k].second.size() * sizeof(BusCell)),
-                  0)
-            << label << " flushed row " << resumed.flushes[k].first << " diverged after resume";
-      }
-    }
   }
 }
 

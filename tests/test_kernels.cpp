@@ -469,37 +469,37 @@ TEST(StripedIsa, ForcedGenericBaselineMatchesReferenceProblemLevel) {
   EXPECT_GT(tally.tiles, 0) << engine::kernel_usage_summary(run.stats);
 }
 
-// Lockstep and dataflow executors must flush byte-identical special rows with
-// a striped kernel pinned (the checkpoint store consumes these bytes).
+// The executor run inline (one worker) and on a four-thread pool must flush
+// byte-identical special rows with the striped kernel pinned.
 TEST(StripedIsa, CrossExecutorSpecialRowsIdenticalWithStripedPinned) {
   const auto a = rand_seq(200, 7007);
   const auto b = rand_seq(230, 7008);
-  auto run_one = [&](engine::ExecutorKind kind) {
+  auto run_one = [&](std::size_t workers) {
     engine::ProblemSpec spec;
     spec.a = a.bases();
     spec.b = b.bases();
     spec.grid = engine::GridSpec{3, 8, 4, 1};
     spec.recurrence = Recurrence::local(paper());
     spec.kernel_override = "striped16-local+best";
-    spec.executor = kind;
     std::map<Index, std::vector<BusCell>> rows;
     engine::Hooks hooks;
     hooks.special_row_interval = 3;
-    hooks.on_special_row = [&](Index row, std::span<const BusCell> cells) {
+    hooks.on_special_row = [&](Index row, std::span<const BusCell> cells, const dp::LocalBest&) {
       rows[row] = std::vector<BusCell>(cells.begin(), cells.end());
     };
-    const auto result = engine::run_wavefront(spec, hooks);
+    ThreadPool pool(workers);
+    const auto result = engine::run_wavefront(spec, hooks, &pool);
     const auto& tally =
         result.stats.kernels[static_cast<std::size_t>(KernelId::kStriped16LocalBest)];
     EXPECT_GT(tally.tiles, 0) << engine::kernel_usage_summary(result.stats);
     return rows;
   };
-  const auto lockstep = run_one(engine::ExecutorKind::kLockstep);
-  const auto dataflow = run_one(engine::ExecutorKind::kDataflow);
-  ASSERT_EQ(lockstep.size(), dataflow.size());
-  for (const auto& [row, cells] : lockstep) {
-    const auto it = dataflow.find(row);
-    ASSERT_NE(it, dataflow.end()) << "row " << row;
+  const auto inline_rows = run_one(1);
+  const auto pooled_rows = run_one(4);
+  ASSERT_EQ(inline_rows.size(), pooled_rows.size());
+  for (const auto& [row, cells] : inline_rows) {
+    const auto it = pooled_rows.find(row);
+    ASSERT_NE(it, pooled_rows.end()) << "row " << row;
     ASSERT_EQ(cells.size(), it->second.size()) << "row " << row;
     EXPECT_EQ(0, std::memcmp(cells.data(), it->second.data(),
                              cells.size() * sizeof(BusCell)))

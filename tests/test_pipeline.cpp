@@ -278,17 +278,17 @@ TEST(Pipeline, DeterministicAcrossRuns) {
 
 // ---------------------------------------------------------------------------
 // Asynchronous SRA flush pipeline: the async writer must be invisible in the
-// output — byte-identical alignments against the synchronous reference path
-// for every executor — while its accounting proves the hand-off happened.
+// output — byte-identical alignments against the synchronous reference path,
+// with the executor inline (one worker) or on a pool — while its accounting
+// proves the hand-off happened.
 // ---------------------------------------------------------------------------
 
 TEST(PipelineAsyncFlush, ByteIdenticalToSyncAcrossExecutors) {
   const auto pair = seq::make_related_pair(500, 480, 9090);
-  for (const auto kind : {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
+  for (const std::size_t workers : {1, 4}) {
     PipelineOptions options = small_options();
-    options.executor = kind;
-    ThreadPool pool(4);
-    if (kind == engine::ExecutorKind::kDataflow) options.pool = &pool;
+    ThreadPool pool(workers);
+    options.pool = &pool;
 
     options.sra_async = false;
     const PipelineResult sync_run = align_pipeline(pair.s0, pair.s1, options);
@@ -321,7 +321,6 @@ TEST(PipelineAsyncFlush, StealHeavyDataflowWithAsyncWriter) {
   // for driver/worker/writer interleavings.
   const auto pair = seq::make_related_pair(700, 650, 2468);
   PipelineOptions options = small_options();
-  options.executor = engine::ExecutorKind::kDataflow;
   options.grid_stage1 = tiny_grid(2, 4, 2);
   ThreadPool pool(8);
   options.pool = &pool;

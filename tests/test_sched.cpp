@@ -17,6 +17,7 @@
 namespace cudalign {
 namespace {
 
+using engine::sched::Retire;
 using engine::sched::SchedOptions;
 using engine::sched::SchedStats;
 using engine::sched::WorkStealingDeque;
@@ -233,6 +234,89 @@ TEST(TileGraph, TallNarrowGridStealsAcrossWorkers) {
   const SchedStats stats = run_tile_graph(graph(strips, 1, 4, 4), body, {});
   EXPECT_EQ(count.load(), strips);
   EXPECT_EQ(stats.tiles_executed, strips);
+}
+
+TEST(TileGraph, DiagonalUnitsRetireInOrderAfterAllTheirTiles) {
+  // Unit u = external diagonal u: the driver sees diagonal u only once every
+  // tile (s, u - s) has completed, in ascending u, on the caller thread.
+  const Index strips = 11, blocks = 6;
+  std::vector<std::atomic<int>> done(static_cast<std::size_t>(strips * blocks));
+  for (auto& f : done) f.store(0);
+  const auto caller = std::this_thread::get_id();
+  std::vector<Index> retired;
+  int incomplete = 0;
+  const auto body = [&](Index s, Index b, int) {
+    done[static_cast<std::size_t>(s * blocks + b)].store(1);
+  };
+  SchedOptions options = graph(strips, blocks, 4, 3);
+  options.retire = Retire::kDiagonals;
+  const auto unit_done = [&](Index u) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    options.for_each_tile(u, [&](Index s, Index b) {
+      EXPECT_EQ(s + b, u);
+      if (done[static_cast<std::size_t>(s * blocks + b)].load() == 0) ++incomplete;
+    });
+    retired.push_back(u);
+    return true;
+  };
+  const SchedStats stats = run_tile_graph(options, body, unit_done);
+  EXPECT_EQ(incomplete, 0);
+  ASSERT_EQ(retired.size(), static_cast<std::size_t>(strips + blocks - 1));
+  for (std::size_t u = 0; u < retired.size(); ++u) EXPECT_EQ(retired[u], static_cast<Index>(u));
+  EXPECT_EQ(stats.tiles_executed, strips * blocks);
+}
+
+TEST(TileGraph, DiagonalWindowBoundsWorkPastAStop) {
+  // No tile may start more than `window` diagonals past the last retired
+  // one, so a stop wastes at most window diagonals of tiles — not the
+  // triangle of every started strip.
+  const Index strips = 60, blocks = 20, window = 2;
+  std::atomic<Index> retired{0};
+  std::atomic<int> violations{0};
+  const auto body = [&](Index s, Index b, int) {
+    if (s + b > retired.load(std::memory_order_acquire) + window) ++violations;
+  };
+  SchedOptions options = graph(strips, blocks, 4, window);
+  options.retire = Retire::kDiagonals;
+  const Index stop_at = 30;
+  const auto unit_done = [&](Index u) {
+    retired.store(u + 1, std::memory_order_release);
+    return u < stop_at;
+  };
+  const SchedStats stats = run_tile_graph(options, body, unit_done);
+  EXPECT_EQ(violations.load(), 0);
+  Index upto = 0;  // Tiles on diagonals <= stop_at + window.
+  for (Index u = 0; u <= stop_at + window; ++u) upto += options.unit_size(u);
+  EXPECT_LE(stats.tiles_executed, upto);
+}
+
+TEST(TileGraph, SingleWorkerRunsInlineOnCaller) {
+  const auto caller = std::this_thread::get_id();
+  for (const Retire retire : {Retire::kStrips, Retire::kDiagonals}) {
+    SchedOptions options = graph(7, 5, 1);
+    options.retire = retire;
+    std::vector<std::pair<Index, Index>> order;
+    const auto body = [&](Index s, Index b, int worker) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_EQ(worker, 0);
+      order.emplace_back(s, b);
+    };
+    Index units = 0;
+    const auto unit_done = [&](Index u) {
+      EXPECT_EQ(u, units++);
+      return true;
+    };
+    const SchedStats stats = run_tile_graph(options, body, unit_done);
+    EXPECT_EQ(units, options.unit_count());
+    ASSERT_EQ(order.size(), 35u);
+    EXPECT_EQ(stats.tiles_executed, 35);
+    EXPECT_EQ(stats.tiles_stolen, 0);
+    // Execution follows retirement order, which respects both input edges.
+    for (std::size_t k = 1; k < order.size(); ++k) {
+      EXPECT_LE(options.unit_of(order[k - 1].first, order[k - 1].second),
+                options.unit_of(order[k].first, order[k].second));
+    }
+  }
 }
 
 }  // namespace

@@ -34,11 +34,10 @@ int usage() {
   cudalign align A.fasta B.fasta [--out ALN.bin] [--sra BYTES] [--workdir DIR]
            [--max-partition N] [--match N] [--mismatch N] [--gap-first N]
            [--gap-ext N] [--no-stage3] [--stats] [--prune] [--both-strands]
-           [--cigar FILE] [--kernel NAME] [--executor NAME] [--audit-bus]
-           [--report FILE] [--progress] [--checkpoint-dir DIR] [--resume]
-           [--sra-async on|off]
+           [--cigar FILE] [--kernel NAME] [--audit-bus] [--report FILE]
+           [--progress] [--checkpoint-dir DIR] [--resume] [--sra-async on|off]
   cudalign score A.fasta B.fasta [--match N] [--mismatch N] [--gap-first N]
-           [--gap-ext N] [--kernel NAME] [--executor NAME] [--audit-bus]
+           [--gap-ext N] [--kernel NAME] [--audit-bus]
 
 --kernel pins a tile-kernel variant (e.g. legacy, scalar-local+best,
 v16-local+best, striped8-local+best, striped16-local+best; equivalent to
@@ -46,10 +45,6 @@ CUDALIGN_KERNEL); tiles outside the variant's envelope fall back to
 automatic selection, so scores are unaffected. The striped kernels pick
 their SIMD backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2 forces
 one (unknown or unsupported values fail fast with exit code 2).
---executor picks the Stage-1 tile-grid executor: lockstep (default; one
-barrier per external diagonal) or dataflow (dependency-driven work stealing,
-no barrier). Results are byte-identical either way, including resume — a
-checkpoint taken under one executor may be resumed under the other.
 --audit-bus verifies every wavefront bus hand-off against the grid model's
 happens-before relation (check/bus_audit.hpp) and fails the run on violation.
 --sra-async (default on) overlaps Stage-1 special-row flushes with tile
@@ -89,8 +84,8 @@ scoring::Scheme scheme_from(const common::Args& args) {
 int cmd_align(const common::Args& args) {
   args.check_known({"out", "sra", "workdir", "max-partition", "match", "mismatch", "gap-first",
                     "gap-ext", "no-stage3", "stats", "prune", "both-strands", "cigar",
-                    "kernel", "executor", "audit-bus", "report", "progress", "checkpoint-dir",
-                    "resume", "sra-async"});
+                    "kernel", "audit-bus", "report", "progress", "checkpoint-dir", "resume",
+                    "sra-async"});
   if (args.positional().size() != 2) return usage();
   if (args.has("kernel")) engine::set_kernel_override(args.str("kernel"));
   const auto s0 = seq::read_single_fasta(args.positional()[0]);
@@ -106,7 +101,6 @@ int cmd_align(const common::Args& args) {
   options.max_partition_size = args.num("max-partition", 16);
   options.save_special_columns = !args.has("no-stage3");
   options.block_pruning = args.has("prune");
-  if (args.has("executor")) options.executor = engine::executor_from_name(args.str("executor"));
   if (args.has("sra-async")) {
     const std::string mode = args.str("sra-async");
     CUDALIGN_CHECK(mode == "on" || mode == "off", "--sra-async expects on or off, got '", mode,
@@ -226,15 +220,13 @@ int cmd_align(const common::Args& args) {
 }
 
 int cmd_score(const common::Args& args) {
-  args.check_known({"match", "mismatch", "gap-first", "gap-ext", "kernel", "executor",
-                    "audit-bus"});
+  args.check_known({"match", "mismatch", "gap-first", "gap-ext", "kernel", "audit-bus"});
   if (args.positional().size() != 2) return usage();
   if (args.has("kernel")) engine::set_kernel_override(args.str("kernel"));
   const auto s0 = seq::read_single_fasta(args.positional()[0]);
   const auto s1 = seq::read_single_fasta(args.positional()[1]);
   core::Stage1Config config;
   config.scheme = scheme_from(args);
-  if (args.has("executor")) config.executor = engine::executor_from_name(args.str("executor"));
   check::BusAuditor auditor;
   if (args.has("audit-bus")) config.bus_audit = &auditor;
   const auto st1 = core::run_stage1(s0.bases(), s1.bases(), config);
