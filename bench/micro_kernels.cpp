@@ -45,22 +45,19 @@ const seq::Sequence& seq_b() {
 // RegisterBenchmark set below).
 // ---------------------------------------------------------------------------
 
-/// A tile archetype: the feature tuple a kernel family is specialized for.
+/// A tile archetype: a feature tuple the executor produces. Local tiles
+/// track the best (Stage 1); global ones never do (Stages 2-3).
 struct TileArchetype {
   const char* name;
   bool local;
-  bool best;
   bool taps;
   bool find;
 };
 
 constexpr TileArchetype kArchetypes[] = {
-    {"local", true, false, false, false},
-    {"local+best", true, true, false, false},
-    {"local+taps", true, false, true, false},
-    {"local+find", true, false, false, true},
-    {"global", false, false, false, false},
-    {"global+taps", false, false, true, false},
+    {"local+best", true, false, false},
+    {"global", false, false, false},
+    {"global+taps", false, true, false},
 };
 
 /// Stage-1 tile shapes swept: the classic alpha*T x n/B block (256x512) and
@@ -93,7 +90,7 @@ struct TileBench {
     hbus = hbus0;
     if (arch.taps) tap_cols = {cols / 2, cols};
     if (arch.find) find_value = kNegInf / 8;  // Never hit: times the full scan.
-    track_best = arch.best;
+    track_best = arch.local;
   }
 
   engine::TileJob job() {
@@ -147,19 +144,19 @@ struct VariantSample {
 };
 
 struct EngineSample {
-  std::string kernel;  ///< Override name ("" = automatic dispatch).
+  std::string kernel;  ///< Pinned name ("" = automatic dispatch).
   double gcups = 0;
   std::string usage;
 };
 
-/// One Stage-1 run of n x n with the given kernel override pinned.
+/// One Stage-1 run of n x n with the given kernel pinned for the process.
 EngineSample time_engine_gcups(const std::string& kernel, Index n) {
   engine::ProblemSpec spec;
   spec.a = seq_a().view(0, n);
   spec.b = seq_b().view(0, n);
   spec.grid = engine::GridSpec{8, 64, 4, 1};  // Strip height 256, 512-wide chunks.
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
-  spec.kernel_override = kernel;
+  engine::set_kernel_override(kernel);
   engine::RunResult last;
   long iters = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -169,6 +166,7 @@ EngineSample time_engine_gcups(const std::string& kernel, Index n) {
     ++iters;
     elapsed = seconds_since(t0);
   } while (elapsed < 0.5);
+  engine::set_kernel_override("");
   EngineSample sample;
   sample.kernel = kernel;
   sample.gcups = static_cast<double>(n) * static_cast<double>(n) *
@@ -251,7 +249,7 @@ void run_kernel_sweep(const std::string& path) {
 void BM_TileKernel(benchmark::State& state) {
   const Index rows = state.range(0);
   const Index cols = state.range(1);
-  TileBench bench({"local+best", true, true, false, false}, rows, cols);
+  TileBench bench(kArchetypes[0], rows, cols);
   engine::TileScratch scratch;
   for (auto _ : state) {
     bench.reset_bus();

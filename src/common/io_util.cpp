@@ -51,7 +51,12 @@ void write_file(const std::filesystem::path& path, const std::string& contents) 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   CUDALIGN_CHECK(out.good(), "cannot open file for writing: " + path.string());
   out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  CUDALIGN_CHECK(out.good(), "error while writing file: " + path.string());
+  close_checked(out, path);
+}
+
+void close_checked(std::ofstream& out, const std::filesystem::path& path) {
+  out.close();
+  CUDALIGN_CHECK(!out.fail(), "error while writing file: " + path.string());
 }
 
 namespace {

@@ -74,6 +74,11 @@ class TempDir {
 /// Writes a string to a file, replacing previous contents.
 void write_file(const std::filesystem::path& path, const std::string& contents);
 
+/// Closes a stream written to `path` and throws if any write or the final
+/// flush failed. Small writes sit in the stream buffer until the flush, and
+/// the destructor never reports its result — a full disk would pass silently.
+void close_checked(std::ofstream& out, const std::filesystem::path& path);
+
 // --- Durable (crash-safe) writes -------------------------------------------
 //
 // The checkpoint/resume subsystem needs writes that survive a SIGKILL or

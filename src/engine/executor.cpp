@@ -52,18 +52,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   }
   if (pool == nullptr) pool = &ThreadPool::shared();
 
-  // Resolve kernel pinning up front so a bad name fails on the caller thread
-  // with a proper message. The spec override is API input and throws; the
-  // environment override is resolved by kernel_override() itself, which
-  // fail-fast exits on an unknown CUDALIGN_KERNEL name — touching it here
-  // guarantees that happens before any tile work starts.
-  const KernelVariant* forced_kernel = nullptr;
-  if (!spec.kernel_override.empty()) {
-    forced_kernel = find_kernel(spec.kernel_override);
-    CUDALIGN_CHECK(forced_kernel != nullptr,
-                   "unknown kernel variant in ProblemSpec::kernel_override: " +
-                       spec.kernel_override + " (valid: " + kernel_names_list() + ")");
-  }
+  // kernel_override() exits the process on an unknown CUDALIGN_KERNEL name;
+  // resolving it here makes that happen before any tile work starts.
   (void)kernel_override();
 
   const Index m = check::checked_cast<Index>(spec.a.size());
@@ -274,7 +264,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     if (!tile_pruned) {
       // Scratch is reused across tiles of the same worker thread.
       static thread_local TileScratch scratch;
-      tr = run_tile(job, scratch, forced_kernel);
+      tr = run_tile(job, scratch);
     }
     if (audit != nullptr) {
       audit->write_horizontal(s, b, d, c0, c1);

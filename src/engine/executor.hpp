@@ -90,12 +90,6 @@ struct ProblemSpec {
   /// with taps or probes.
   bool block_pruning = false;
 
-  /// Pins a kernel variant by registry name for this run (stronger than the
-  /// CUDALIGN_KERNEL environment override; see kernel_registry.hpp). Tiles
-  /// outside the pinned variant's envelope fall back to automatic selection,
-  /// so results are identical either way. Empty = automatic.
-  std::string kernel_override;
-
   /// Resume support (checkpoint/resume, DESIGN.md "Checkpoint & resume"):
   /// start the wavefront at vertex row `start_row` instead of row 0. Must be
   /// a multiple of the grid's strip height and is only meaningful with

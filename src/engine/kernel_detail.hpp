@@ -1,9 +1,10 @@
 // Internal seams of the kernel family (not part of the engine's public API).
 //
-// kernels_scalar.cpp and kernels_vector.cpp implement the entry points
-// declared here; kernel_registry.cpp wires them into the variant table. The
-// tiny helpers keep the per-tile contract (bus sizes, result shape, corner
-// conventions) in exactly one place so every variant inherits it.
+// kernels_scalar.cpp, kernels_vector.cpp and the kernels_striped*.cpp files
+// implement the entry points declared here; kernel_registry.cpp wires them
+// into the variant table. The tiny helpers keep the per-tile contract (bus
+// sizes, result shape, corner conventions) in exactly one place so every
+// variant inherits it.
 #pragma once
 
 #include <cstdint>
@@ -31,22 +32,23 @@ inline TileResult make_tile_result(const TileJob& job) {
 
 // --- kernels_scalar.cpp ----------------------------------------------------
 
-/// The seed's monolithic loop, preserved verbatim as fallback and benchmark
-/// baseline ("legacy" in the registry).
+/// The seed's monolithic loop, preserved verbatim as the tile-level reference
+/// and the fallback for every job no specialist covers ("legacy").
 TileResult run_legacy(const TileJob& job, TileScratch& scratch);
 
-/// Specialized row sweep: query-profile inner loop, every feature resolved at
-/// compile time. Exact for jobs whose traits match the instantiation.
-template <bool kLocal, bool kBest, bool kTaps, bool kFind>
+/// Specialized global row sweep (Stages 2-3): query-profile inner loop, taps
+/// and value probe resolved at compile time, no best tracking. Exact for
+/// global jobs whose tap/probe features match the instantiation.
+template <bool kTaps, bool kFind>
 TileResult run_scalar(const TileJob& job, TileScratch& scratch);
 
 // --- kernels_vector.cpp ----------------------------------------------------
 
 /// Branch-free anti-diagonal sweep over LaneT lanes (int16_t or int32_t),
-/// local mode only, no taps/probe. The int16_t instantiation is exact only
-/// within the range vector16_can_run admits; int32_t is exact everywhere the
-/// shape gate passes.
-template <typename LaneT, bool kBest>
+/// local mode with best tracking, no taps/probe. The int16_t instantiation is
+/// exact only within the range vector16_can_run admits; int32_t is exact
+/// everywhere the shape gate passes.
+template <typename LaneT>
 TileResult run_vector(const TileJob& job, TileScratch& scratch);
 
 /// Shape/feature envelope shared by both lane widths (local, no taps, no
@@ -64,9 +66,9 @@ struct LaneEnvelope {
   Score ceiling;      ///< Reachable-score bound (+match still fits the lanes).
 };
 
-/// int16 lane envelope (v16-local* and striped16-local*).
+/// int16 lane envelope (v16-local+best and striped16-local+best).
 inline constexpr LaneEnvelope kLaneEnvelope16{4096, -4096, 28000};
-/// int8 lane envelope (striped8-local*): ceiling + penalty_cap stays below
+/// int8 lane envelope (striped8-local+best): ceiling + penalty_cap stays below
 /// INT8_MAX, so one more match can never saturate a genuine score.
 inline constexpr LaneEnvelope kLaneEnvelope8{16, -64, 100};
 
@@ -82,14 +84,15 @@ inline constexpr LaneEnvelope kLaneEnvelope8{16, -64, 100};
 /// representable and no reachable score can leave the lanes. O(w + rows).
 [[nodiscard]] bool vector16_can_run(const TileJob& job);
 
-// --- kernels_striped.cpp / kernels_striped_avx2.cpp ------------------------
+// --- kernels_striped.cpp / _avx2.cpp / _avx512.cpp --------------------------
 
 /// Farrar-striped row sweep with the lazy-F correction loop eliminated
-/// (deterministic two-pass gap scan; see striped_core.hpp). LaneT is int8_t
-/// (saturating, kLaneEnvelope8) or int16_t (kLaneEnvelope16). Dispatches at
-/// runtime to the best compiled ISA backend (generic / SSE2 / AVX2; see
+/// (deterministic two-pass gap scan; see striped_core.hpp), local mode with
+/// best tracking: the Stage-1 hot path. LaneT is int8_t (saturating,
+/// kLaneEnvelope8) or int16_t (kLaneEnvelope16). Dispatches at runtime to the
+/// best compiled ISA backend (generic / SSE2 / AVX2 / AVX-512BW; see
 /// active_simd_isa() in kernel_registry.hpp).
-template <typename LaneT, bool kBest>
+template <typename LaneT>
 TileResult run_striped(const TileJob& job, TileScratch& scratch);
 
 /// vector_can_run plus the 8-bit / 16-bit lane envelope prechecks.
@@ -98,7 +101,7 @@ TileResult run_striped(const TileJob& job, TileScratch& scratch);
 
 /// AVX2 entry points, compiled in the -mavx2 translation unit. Only called
 /// when avx2_kernels_compiled() and the CPU supports AVX2.
-template <typename LaneT, bool kBest>
+template <typename LaneT>
 TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch);
 
 /// True when kernels_striped_avx2.cpp was built with AVX2 code generation.
@@ -106,43 +109,27 @@ TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch);
 
 /// AVX-512 entry points, compiled in the -mavx512bw translation unit. Only
 /// called when avx512_kernels_compiled() and the CPU supports AVX-512BW.
-template <typename LaneT, bool kBest>
+template <typename LaneT>
 TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch);
 
 /// True when kernels_striped_avx512.cpp was built with AVX-512BW codegen.
 [[nodiscard]] bool avx512_kernels_compiled() noexcept;
 
-extern template TileResult run_scalar<false, false, false, false>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<false, false, false, true>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<false, false, true, false>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<false, false, true, true>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, false, false, false>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, false, false, true>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, false, true, false>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, false, true, true>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, true, false, false>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, true, false, true>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, true, true, false>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, true, true, true>(const TileJob&, TileScratch&);
+extern template TileResult run_scalar<false, false>(const TileJob&, TileScratch&);
+extern template TileResult run_scalar<false, true>(const TileJob&, TileScratch&);
+extern template TileResult run_scalar<true, false>(const TileJob&, TileScratch&);
+extern template TileResult run_scalar<true, true>(const TileJob&, TileScratch&);
 
-extern template TileResult run_vector<std::int16_t, false>(const TileJob&, TileScratch&);
-extern template TileResult run_vector<std::int16_t, true>(const TileJob&, TileScratch&);
-extern template TileResult run_vector<std::int32_t, false>(const TileJob&, TileScratch&);
-extern template TileResult run_vector<std::int32_t, true>(const TileJob&, TileScratch&);
+extern template TileResult run_vector<std::int16_t>(const TileJob&, TileScratch&);
+extern template TileResult run_vector<std::int32_t>(const TileJob&, TileScratch&);
 
-extern template TileResult run_striped<std::int8_t, false>(const TileJob&, TileScratch&);
-extern template TileResult run_striped<std::int8_t, true>(const TileJob&, TileScratch&);
-extern template TileResult run_striped<std::int16_t, false>(const TileJob&, TileScratch&);
-extern template TileResult run_striped<std::int16_t, true>(const TileJob&, TileScratch&);
+extern template TileResult run_striped<std::int8_t>(const TileJob&, TileScratch&);
+extern template TileResult run_striped<std::int16_t>(const TileJob&, TileScratch&);
 
-extern template TileResult run_striped_avx2<std::int8_t, false>(const TileJob&, TileScratch&);
-extern template TileResult run_striped_avx2<std::int8_t, true>(const TileJob&, TileScratch&);
-extern template TileResult run_striped_avx2<std::int16_t, false>(const TileJob&, TileScratch&);
-extern template TileResult run_striped_avx2<std::int16_t, true>(const TileJob&, TileScratch&);
+extern template TileResult run_striped_avx2<std::int8_t>(const TileJob&, TileScratch&);
+extern template TileResult run_striped_avx2<std::int16_t>(const TileJob&, TileScratch&);
 
-extern template TileResult run_striped_avx512<std::int8_t, false>(const TileJob&, TileScratch&);
-extern template TileResult run_striped_avx512<std::int8_t, true>(const TileJob&, TileScratch&);
-extern template TileResult run_striped_avx512<std::int16_t, false>(const TileJob&, TileScratch&);
-extern template TileResult run_striped_avx512<std::int16_t, true>(const TileJob&, TileScratch&);
+extern template TileResult run_striped_avx512<std::int8_t>(const TileJob&, TileScratch&);
+extern template TileResult run_striped_avx512<std::int16_t>(const TileJob&, TileScratch&);
 
 }  // namespace cudalign::engine::detail

@@ -19,38 +19,24 @@ using dp::AlignMode;
 
 bool any_job(const TileJob&) { return true; }
 
-/// Exact feature match: a specialized sweep runs precisely the jobs whose
-/// trait tuple equals its template instantiation (a broader variant would
-/// compute unused features; a narrower one would miss requested ones).
-template <bool kLocal, bool kBest, bool kTaps, bool kFind>
-bool scalar_can_run(const TileJob& job) {
-  return KernelTraits::of(job) ==
-         KernelTraits{kLocal ? AlignMode::kLocal : AlignMode::kGlobal, kBest, kTaps, kFind};
+/// Stages 2-3: a global job without best tracking whose taps/probe features
+/// match the instantiation exactly (a broader sweep would compute unused
+/// features; a narrower one would miss requested ones).
+template <bool kTaps, bool kFind>
+bool scalar_global_can_run(const TileJob& job) {
+  return job.recurrence->mode == AlignMode::kGlobal && !job.track_best &&
+         job.tap_cols.empty() != kTaps && job.find_value.has_value() == kFind;
 }
 
-template <bool kBest>
-bool vec16_can_run(const TileJob& job) {
-  return job.track_best == kBest && detail::vector16_can_run(job);
+/// Stage 1: the vector sweeps always track the local best.
+template <bool (*kEnvelope)(const TileJob&)>
+bool local_best_can_run(const TileJob& job) {
+  return job.track_best && kEnvelope(job);
 }
 
-template <bool kBest>
-bool vec32_can_run(const TileJob& job) {
-  return job.track_best == kBest && detail::vector_can_run(job);
-}
-
-template <bool kBest>
-bool striped8_can_run(const TileJob& job) {
-  return job.track_best == kBest && detail::striped8_can_run(job);
-}
-
-template <bool kBest>
-bool striped16_can_run(const TileJob& job) {
-  return job.track_best == kBest && detail::striped16_can_run(job);
-}
-
-/// Anti-diagonal sweeps only pay off when the diagonals are long enough to
-/// fill vector lanes; below these shapes the automatic order prefers the row
-/// sweeps. Overrides bypass the gate (can_run still guards correctness).
+/// The vector sweeps only pay off when a tile is wide and tall enough to fill
+/// their lanes; below these shapes a local tile runs on legacy. Pins bypass
+/// the gate (can_run still guards correctness).
 constexpr Index kVectorMinWidth = 16;
 constexpr Index kVectorMinRows = 8;
 
@@ -65,60 +51,28 @@ constexpr std::size_t kCount = kKernelIdCount;
 const std::array<Entry, kCount>& table() {
   static const std::array<Entry, kCount> kTable = {{
       {{KernelId::kLegacy, "legacy", 30, &any_job, &detail::run_legacy}},
-      {{KernelId::kScalarLocal, "scalar-local", 20, &scalar_can_run<true, false, false, false>,
-        &detail::run_scalar<true, false, false, false>}},
-      {{KernelId::kScalarLocalBest, "scalar-local+best", 20,
-        &scalar_can_run<true, true, false, false>, &detail::run_scalar<true, true, false, false>}},
-      {{KernelId::kScalarLocalTaps, "scalar-local+taps", 20,
-        &scalar_can_run<true, false, true, false>, &detail::run_scalar<true, false, true, false>}},
-      {{KernelId::kScalarLocalBestTaps, "scalar-local+best+taps", 20,
-        &scalar_can_run<true, true, true, false>, &detail::run_scalar<true, true, true, false>}},
-      {{KernelId::kScalarLocalFind, "scalar-local+find", 20,
-        &scalar_can_run<true, false, false, true>, &detail::run_scalar<true, false, false, true>}},
-      {{KernelId::kScalarLocalBestFind, "scalar-local+best+find", 20,
-        &scalar_can_run<true, true, false, true>, &detail::run_scalar<true, true, false, true>}},
-      {{KernelId::kScalarLocalTapsFind, "scalar-local+taps+find", 20,
-        &scalar_can_run<true, false, true, true>, &detail::run_scalar<true, false, true, true>}},
-      {{KernelId::kScalarLocalBestTapsFind, "scalar-local+best+taps+find", 20,
-        &scalar_can_run<true, true, true, true>, &detail::run_scalar<true, true, true, true>}},
-      {{KernelId::kScalarGlobal, "scalar-global", 20, &scalar_can_run<false, false, false, false>,
-        &detail::run_scalar<false, false, false, false>}},
+      {{KernelId::kScalarGlobal, "scalar-global", 20, &scalar_global_can_run<false, false>,
+        &detail::run_scalar<false, false>}},
       {{KernelId::kScalarGlobalTaps, "scalar-global+taps", 20,
-        &scalar_can_run<false, false, true, false>, &detail::run_scalar<false, false, true, false>}},
+        &scalar_global_can_run<true, false>, &detail::run_scalar<true, false>}},
       {{KernelId::kScalarGlobalFind, "scalar-global+find", 20,
-        &scalar_can_run<false, false, false, true>, &detail::run_scalar<false, false, false, true>}},
+        &scalar_global_can_run<false, true>, &detail::run_scalar<false, true>}},
       {{KernelId::kScalarGlobalTapsFind, "scalar-global+taps+find", 20,
-        &scalar_can_run<false, false, true, true>, &detail::run_scalar<false, false, true, true>}},
-      {{KernelId::kVec16Local, "v16-local", 10, &vec16_can_run<false>,
-        &detail::run_vector<std::int16_t, false>},
+        &scalar_global_can_run<true, true>, &detail::run_scalar<true, true>}},
+      {{KernelId::kVec16LocalBest, "v16-local+best", 10,
+        &local_best_can_run<&detail::vector16_can_run>, &detail::run_vector<std::int16_t>},
        kVectorMinWidth,
        kVectorMinRows},
-      {{KernelId::kVec16LocalBest, "v16-local+best", 10, &vec16_can_run<true>,
-        &detail::run_vector<std::int16_t, true>},
+      {{KernelId::kVec32LocalBest, "v32-local+best", 11,
+        &local_best_can_run<&detail::vector_can_run>, &detail::run_vector<std::int32_t>},
        kVectorMinWidth,
        kVectorMinRows},
-      {{KernelId::kVec32Local, "v32-local", 11, &vec32_can_run<false>,
-        &detail::run_vector<std::int32_t, false>},
+      {{KernelId::kStriped8LocalBest, "striped8-local+best", 7,
+        &local_best_can_run<&detail::striped8_can_run>, &detail::run_striped<std::int8_t>},
        kVectorMinWidth,
        kVectorMinRows},
-      {{KernelId::kVec32LocalBest, "v32-local+best", 11, &vec32_can_run<true>,
-        &detail::run_vector<std::int32_t, true>},
-       kVectorMinWidth,
-       kVectorMinRows},
-      {{KernelId::kStriped8Local, "striped8-local", 7, &striped8_can_run<false>,
-        &detail::run_striped<std::int8_t, false>},
-       kVectorMinWidth,
-       kVectorMinRows},
-      {{KernelId::kStriped8LocalBest, "striped8-local+best", 7, &striped8_can_run<true>,
-        &detail::run_striped<std::int8_t, true>},
-       kVectorMinWidth,
-       kVectorMinRows},
-      {{KernelId::kStriped16Local, "striped16-local", 8, &striped16_can_run<false>,
-        &detail::run_striped<std::int16_t, false>},
-       kVectorMinWidth,
-       kVectorMinRows},
-      {{KernelId::kStriped16LocalBest, "striped16-local+best", 8, &striped16_can_run<true>,
-        &detail::run_striped<std::int16_t, true>},
+      {{KernelId::kStriped16LocalBest, "striped16-local+best", 8,
+        &local_best_can_run<&detail::striped16_can_run>, &detail::run_striped<std::int16_t>},
        kVectorMinWidth,
        kVectorMinRows},
   }};
@@ -217,10 +171,8 @@ void reload_kernel_override_from_env() {
   (void)kernel_override();
 }
 
-const KernelVariant& select_kernel(const TileJob& job, const KernelVariant* forced) {
-  if (forced != nullptr && forced->can_run(job)) return *forced;
-  if (const KernelVariant* pinned = kernel_override();
-      pinned != nullptr && pinned != forced && pinned->can_run(job)) {
+const KernelVariant& select_kernel(const TileJob& job) {
+  if (const KernelVariant* pinned = kernel_override(); pinned != nullptr && pinned->can_run(job)) {
     return *pinned;
   }
   const Index w = job.c1 - job.c0;

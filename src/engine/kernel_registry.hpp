@@ -4,19 +4,22 @@
 // Every kernel variant is a free function with the run_tile signature plus a
 // `can_run` predicate describing the (mode, feature, value-range) envelope it
 // is exact for. Dispatch walks the registry in cost order and picks the
-// cheapest variant whose predicate accepts the job — so the Stage-1 hot path
-// (plain local, small scores) lands on the 16-lane anti-diagonal sweep while
-// a taps+probe global tile lands on its specialized row sweep, and anything
-// else falls back to the legacy do-everything loop. All variants are
-// bit-identical to run_reference; predicates encode *exactness* (e.g. the
-// 16-bit kernel rejects tiles whose scores could overflow its lanes), while
-// size heuristics live in the selector.
+// cheapest variant whose predicate accepts the job. The roster is what the
+// pipeline runs (DESIGN.md "Kernel family and dispatch"):
+//   * Stage 1 (local, best tracking): the Farrar-striped sweeps — 8-bit lanes
+//     while scores fit, 16-bit next — and the 32-bit anti-diagonal sweep for
+//     tiles outside both lane envelopes;
+//   * Stages 2-3 (global, no best): the specialized scalar row sweep, one
+//     instantiation per taps/probe combination;
+//   * legacy, the do-everything loop, for every other job.
+// All variants are bit-identical to run_reference; predicates encode
+// *exactness* (e.g. the 16-bit kernels reject tiles whose scores could
+// overflow their lanes), while size heuristics live in the selector.
 //
-// Overrides: the CUDALIGN_KERNEL environment variable, or
-// set_kernel_override() / ProblemSpec::kernel_override, pins a variant by
-// name. A pinned variant still only runs where its predicate allows — jobs
-// outside its envelope fall back to automatic selection, so an override can
-// never produce wrong results.
+// Pinning: the CUDALIGN_KERNEL environment variable or set_kernel_override()
+// pins a variant by name for the whole process. A pinned variant still only
+// runs where its predicate allows — jobs outside its envelope fall back to
+// automatic selection, so a pin can never produce wrong results.
 //
 // A future SIMD/GPU backend plugs in here: add an id to KernelId, implement
 // the entry point (engine/kernels_vector.cpp shows the shape), and append a
@@ -31,20 +34,6 @@
 #include "engine/kernels.hpp"
 
 namespace cudalign::engine {
-
-/// The feature set a TileJob requests; used for exact-match selection.
-struct KernelTraits {
-  dp::AlignMode mode = dp::AlignMode::kLocal;
-  bool best = false;
-  bool taps = false;
-  bool find = false;
-
-  [[nodiscard]] static KernelTraits of(const TileJob& job) noexcept {
-    return KernelTraits{job.recurrence->mode, job.track_best, !job.tap_cols.empty(),
-                        job.find_value.has_value()};
-  }
-  friend bool operator==(const KernelTraits&, const KernelTraits&) = default;
-};
 
 struct KernelVariant {
   KernelId id = KernelId::kLegacy;
@@ -64,11 +53,10 @@ struct KernelVariant {
 /// Metadata for a kernel id (valid for any id < kCount).
 [[nodiscard]] const KernelVariant& kernel_info(KernelId id) noexcept;
 
-/// Picks the cheapest variant that can run `job`. `forced` (when non-null and
-/// eligible) wins; otherwise the process-wide override (CUDALIGN_KERNEL env,
-/// or set_kernel_override) is tried, then the automatic cost order.
-[[nodiscard]] const KernelVariant& select_kernel(const TileJob& job,
-                                                 const KernelVariant* forced = nullptr);
+/// Picks the variant that runs `job`: the process-wide pin (CUDALIGN_KERNEL
+/// or set_kernel_override) when it can run the job, else the cheapest
+/// eligible variant in cost order.
+[[nodiscard]] const KernelVariant& select_kernel(const TileJob& job);
 
 /// Sets the process-wide override by name (empty string clears it). Throws
 /// Error for an unknown name. Thread-safe; takes effect for subsequent tiles.

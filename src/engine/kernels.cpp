@@ -71,9 +71,9 @@ BusCell Recurrence::left_boundary(Index i) const {
   return BusCell{boundary_run(corner.f, corner.h, i, scheme), kNegInf};
 }
 
-TileResult run_tile(const TileJob& job, TileScratch& scratch, const KernelVariant* forced) {
-  const KernelVariant& kernel = select_kernel(job, forced);
-  // Dispatch contract: whatever won selection (forced, pinned or automatic)
+TileResult run_tile(const TileJob& job, TileScratch& scratch) {
+  const KernelVariant& kernel = select_kernel(job);
+  // Dispatch contract: whatever won selection (pinned or automatic)
   // must be exact for this job — running outside the envelope is the silent
   // score-corruption path the registry exists to prevent.
   CUDALIGN_DCHECK(kernel.can_run(job), "selected kernel '", kernel.name,

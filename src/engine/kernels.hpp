@@ -34,27 +34,15 @@ namespace cudalign::engine {
 /// entry point; RunStats tallies tiles/cells per id so benchmarks and tests
 /// can see exactly which code path ran.
 enum class KernelId : std::uint8_t {
-  kLegacy = 0,        ///< The original do-everything scalar loop (fallback + bench baseline).
-  kScalarLocal,       ///< Specialized row sweeps (query-profile inner loop) ...
-  kScalarLocalBest,
-  kScalarLocalTaps,
-  kScalarLocalBestTaps,
-  kScalarLocalFind,
-  kScalarLocalBestFind,
-  kScalarLocalTapsFind,
-  kScalarLocalBestTapsFind,
-  kScalarGlobal,
+  kLegacy = 0,          ///< The original do-everything scalar loop (reference + fallback).
+  kScalarGlobal,        ///< Specialized global row sweeps (query-profile inner loop) ...
   kScalarGlobalTaps,
   kScalarGlobalFind,
   kScalarGlobalTapsFind,
-  kVec16Local,        ///< Branch-free anti-diagonal sweep, 16-bit lanes.
-  kVec16LocalBest,
-  kVec32Local,        ///< Branch-free anti-diagonal sweep, 32-bit lanes.
-  kVec32LocalBest,
-  kStriped8Local,     ///< Farrar-striped row sweep, 8-bit saturating lanes.
-  kStriped8LocalBest,
-  kStriped16Local,    ///< Farrar-striped row sweep, 16-bit lanes.
-  kStriped16LocalBest,
+  kVec16LocalBest,      ///< Branch-free anti-diagonal sweep, 16-bit lanes.
+  kVec32LocalBest,      ///< Branch-free anti-diagonal sweep, 32-bit lanes.
+  kStriped8LocalBest,   ///< Farrar-striped row sweep, 8-bit saturating lanes.
+  kStriped16LocalBest,  ///< Farrar-striped row sweep, 16-bit lanes.
   kCount,
 };
 
@@ -118,6 +106,8 @@ struct TileJob {
   std::span<BusCell> vbus_out;        ///< Vertices [r0..r1] at column c1.
 
   std::span<const Index> tap_cols;    ///< Ascending, each within (c0..c1].
+  /// The executor sets this exactly in local mode. The local specialists
+  /// require it, the global ones require it clear; other jobs run on legacy.
   bool track_best = false;
   std::optional<Score> find_value;
 };
@@ -154,12 +144,8 @@ struct TileScratch {
 };
 
 /// Runs one tile through the registry-selected kernel variant (see
-/// kernel_registry.hpp). `forced` pins a specific variant when it can run the
-/// job; otherwise selection falls back to the automatic choice. Deterministic;
-/// no shared state beyond the job's spans. Every variant is bit-identical to
-/// run_reference.
-struct KernelVariant;
-[[nodiscard]] TileResult run_tile(const TileJob& job, TileScratch& scratch,
-                                  const KernelVariant* forced = nullptr);
+/// kernel_registry.hpp). Deterministic; no shared state beyond the job's
+/// spans. Every variant is bit-identical to run_reference.
+[[nodiscard]] TileResult run_tile(const TileJob& job, TileScratch& scratch);
 
 }  // namespace cudalign::engine

@@ -1,13 +1,14 @@
-// Scalar tile kernels: the legacy do-everything loop (preserved as fallback
-// and benchmark baseline) and the specialized row-sweep family.
+// Scalar tile kernels: the legacy do-everything loop (preserved as the
+// tile-level reference and the fallback) and the specialized global row
+// sweeps of Stages 2-3.
 //
 // The specialized sweeps differ from the legacy loop in two ways:
 //   * the substitution score is a query-profile table load (scoring/profile.hpp)
 //     instead of a per-cell match/mismatch branch, and
-//   * *every* feature — mode, best tracking, taps, value probe — is a template
-//     parameter, so a plain tile compiles to a loop with no feature tests at
-//     all (the legacy loop still branches per row on the tap list).
-// Both families produce bit-identical buses, taps, best and probe results.
+//   * taps and the value probe are template parameters, so a plain tile
+//     compiles to a loop with no feature tests at all (the legacy loop still
+//     branches per row on the tap list).
+// Both families produce bit-identical buses, taps and probe results.
 #include <algorithm>
 
 #include "engine/kernel_detail.hpp"
@@ -56,7 +57,7 @@ void publish_row_state(const TileJob& job, const Score* h, const Score* f, Index
 /// at most (m+n)*G_first below kNegInf, which stays far above INT32_MIN for
 /// any m+n < ~300M while remaining detected by is_neg_inf(); genuine scores
 /// are bounded well inside the sentinel threshold (see common/types.hpp).
-template <bool kLocal, bool kBest, bool kFind>
+template <bool kLocal, bool kRecordBest, bool kFind>
 inline void legacy_segment(const TileJob& job, Score* h, Score* f, Score& diag, Score& e_run,
                            Index i, seq::Base ai, Index k_begin, Index k_end,
                            const scoring::Scheme& s, TileResult& result) {
@@ -75,7 +76,7 @@ inline void legacy_segment(const TileJob& job, Score* h, Score* f, Score& diag, 
     f[k] = new_f;
     e_run = new_e;
 
-    if constexpr (kBest) {
+    if constexpr (kRecordBest) {
       if (new_h > result.best.score) result.best = dp::LocalBest{new_h, i, job.c0 + k};
     }
     if constexpr (kFind) {
@@ -88,7 +89,7 @@ inline void legacy_segment(const TileJob& job, Score* h, Score* f, Score& diag, 
   }
 }
 
-template <bool kLocal, bool kBest, bool kFind>
+template <bool kLocal, bool kRecordBest, bool kFind>
 void legacy_rows(const TileJob& job, Score* h, Score* f, const scoring::Scheme& s,
                  TileResult& result) {
   // Note: an alpha-register-blocked variant (4 rows per column step, the
@@ -103,27 +104,28 @@ void legacy_rows(const TileJob& job, Score* h, Score* f, const scoring::Scheme& 
     h[0] = left.h;
     Score e_run = left.gap;
     if (job.tap_cols.empty()) {
-      legacy_segment<kLocal, kBest, kFind>(job, h, f, diag, e_run, i, ai, 1, w, s, result);
+      legacy_segment<kLocal, kRecordBest, kFind>(job, h, f, diag, e_run, i, ai, 1, w, s, result);
     } else {
       // Split the row at tap columns so the hot loop stays branch-free.
       Index k = 1;
       for (std::size_t t = 0; t < job.tap_cols.size(); ++t) {
         const Index tap_k = job.tap_cols[t] - job.c0;
-        legacy_segment<kLocal, kBest, kFind>(job, h, f, diag, e_run, i, ai, k, tap_k, s, result);
+        legacy_segment<kLocal, kRecordBest, kFind>(job, h, f, diag, e_run, i, ai, k, tap_k, s,
+                                                   result);
         result.taps[t][static_cast<std::size_t>(i - job.r0 - 1)] = BusCell{h[tap_k], e_run};
         k = tap_k + 1;
       }
-      legacy_segment<kLocal, kBest, kFind>(job, h, f, diag, e_run, i, ai, k, w, s, result);
+      legacy_segment<kLocal, kRecordBest, kFind>(job, h, f, diag, e_run, i, ai, k, w, s, result);
     }
     job.vbus_out[static_cast<std::size_t>(i - job.r0)] = BusCell{h[w], e_run};
   }
 }
 
 // ---------------------------------------------------------------------------
-// Specialized row-sweep family.
+// Specialized global row sweeps.
 // ---------------------------------------------------------------------------
 
-template <bool kLocal, bool kBest, bool kFind>
+template <bool kFind>
 inline void profile_segment(const TileJob& job, Score* h, Score* f, Score& diag, Score& e_run,
                             Index i, const Score* prow, Index k_begin, Index k_end,
                             const scoring::Scheme& s, TileResult& result) {
@@ -135,15 +137,11 @@ inline void profile_segment(const TileJob& job, Score* h, Score* f, Score& diag,
     const Score new_e = std::max<Score>(e_run - gap_ext, h[k - 1] - gap_first);
     Score new_h = std::max(new_e, new_f);
     new_h = std::max<Score>(new_h, diag + prow[k]);
-    if constexpr (kLocal) new_h = std::max<Score>(new_h, 0);
     diag = up_h;
     h[k] = new_h;
     f[k] = new_f;
     e_run = new_e;
 
-    if constexpr (kBest) {
-      if (new_h > result.best.score) result.best = dp::LocalBest{new_h, i, job.c0 + k};
-    }
     if constexpr (kFind) {
       if (!result.found && new_h == *job.find_value) {
         result.found = true;
@@ -186,7 +184,7 @@ TileResult run_legacy(const TileJob& job, TileScratch& scratch) {
   return result;
 }
 
-template <bool kLocal, bool kBest, bool kTaps, bool kFind>
+template <bool kTaps, bool kFind>
 TileResult run_scalar(const TileJob& job, TileScratch& scratch) {
   const Recurrence& rec = *job.recurrence;
   const scoring::Scheme& s = rec.scheme;
@@ -209,14 +207,13 @@ TileResult run_scalar(const TileJob& job, TileScratch& scratch) {
       Index k = 1;
       for (std::size_t t = 0; t < job.tap_cols.size(); ++t) {
         const Index tap_k = job.tap_cols[t] - job.c0;
-        profile_segment<kLocal, kBest, kFind>(job, h, f, diag, e_run, i, prow, k, tap_k, s,
-                                              result);
+        profile_segment<kFind>(job, h, f, diag, e_run, i, prow, k, tap_k, s, result);
         result.taps[t][static_cast<std::size_t>(i - job.r0 - 1)] = BusCell{h[tap_k], e_run};
         k = tap_k + 1;
       }
-      profile_segment<kLocal, kBest, kFind>(job, h, f, diag, e_run, i, prow, k, w, s, result);
+      profile_segment<kFind>(job, h, f, diag, e_run, i, prow, k, w, s, result);
     } else {
-      profile_segment<kLocal, kBest, kFind>(job, h, f, diag, e_run, i, prow, 1, w, s, result);
+      profile_segment<kFind>(job, h, f, diag, e_run, i, prow, 1, w, s, result);
     }
     job.vbus_out[static_cast<std::size_t>(i - job.r0)] = BusCell{h[w], e_run};
   }
@@ -225,17 +222,9 @@ TileResult run_scalar(const TileJob& job, TileScratch& scratch) {
   return result;
 }
 
-template TileResult run_scalar<false, false, false, false>(const TileJob&, TileScratch&);
-template TileResult run_scalar<false, false, false, true>(const TileJob&, TileScratch&);
-template TileResult run_scalar<false, false, true, false>(const TileJob&, TileScratch&);
-template TileResult run_scalar<false, false, true, true>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, false, false, false>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, false, false, true>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, false, true, false>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, false, true, true>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, true, false, false>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, true, false, true>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, true, true, false>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, true, true, true>(const TileJob&, TileScratch&);
+template TileResult run_scalar<false, false>(const TileJob&, TileScratch&);
+template TileResult run_scalar<false, true>(const TileJob&, TileScratch&);
+template TileResult run_scalar<true, false>(const TileJob&, TileScratch&);
+template TileResult run_scalar<true, true>(const TileJob&, TileScratch&);
 
 }  // namespace cudalign::engine::detail

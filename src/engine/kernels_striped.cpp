@@ -259,16 +259,16 @@ bool striped16_can_run(const TileJob& job) {
   return vector_can_run(job) && lane_envelope_admits(job, kLaneEnvelope16);
 }
 
-template <typename LaneT, bool kBest>
+template <typename LaneT>
 TileResult run_striped(const TileJob& job, TileScratch& scratch) {
   switch (active_simd_isa()) {
     case SimdIsa::kAvx512:
-      return run_striped_avx512<LaneT, kBest>(job, scratch);
+      return run_striped_avx512<LaneT>(job, scratch);
     case SimdIsa::kAvx2:
-      return run_striped_avx2<LaneT, kBest>(job, scratch);
+      return run_striped_avx2<LaneT>(job, scratch);
     case SimdIsa::kSse2:
 #if defined(__SSE2__)
-      return run_striped_core<Sse2Backend<LaneT>, kBest>(job, scratch);
+      return run_striped_core<Sse2Backend<LaneT>>(job, scratch);
 #else
       break;  // Unreachable: active_simd_isa never reports an unsupported ISA.
 #endif
@@ -276,16 +276,14 @@ TileResult run_striped(const TileJob& job, TileScratch& scratch) {
       break;
   }
   if constexpr (sizeof(LaneT) == 1) {
-    return run_striped_core<Generic8, kBest>(job, scratch);
+    return run_striped_core<Generic8>(job, scratch);
   } else {
-    return run_striped_core<Generic16, kBest>(job, scratch);
+    return run_striped_core<Generic16>(job, scratch);
   }
 }
 
-template TileResult run_striped<std::int8_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped<std::int8_t, true>(const TileJob&, TileScratch&);
-template TileResult run_striped<std::int16_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped<std::int16_t, true>(const TileJob&, TileScratch&);
+template TileResult run_striped<std::int8_t>(const TileJob&, TileScratch&);
+template TileResult run_striped<std::int16_t>(const TileJob&, TileScratch&);
 
 }  // namespace detail
 

@@ -64,15 +64,13 @@ struct Avx2Backend<std::int8_t> {
 
 bool avx2_kernels_compiled() noexcept { return true; }
 
-template <typename LaneT, bool kBest>
+template <typename LaneT>
 TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch) {
-  return run_striped_core<Avx2Backend<LaneT>, kBest>(job, scratch);
+  return run_striped_core<Avx2Backend<LaneT>>(job, scratch);
 }
 
-template TileResult run_striped_avx2<std::int8_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx2<std::int8_t, true>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx2<std::int16_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx2<std::int16_t, true>(const TileJob&, TileScratch&);
+template TileResult run_striped_avx2<std::int8_t>(const TileJob&, TileScratch&);
+template TileResult run_striped_avx2<std::int16_t>(const TileJob&, TileScratch&);
 
 }  // namespace cudalign::engine::detail
 
@@ -82,7 +80,7 @@ namespace cudalign::engine::detail {
 
 bool avx2_kernels_compiled() noexcept { return false; }
 
-template <typename LaneT, bool kBest>
+template <typename LaneT>
 TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch) {
   (void)job;
   (void)scratch;
@@ -90,10 +88,8 @@ TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch) {
   return TileResult{};
 }
 
-template TileResult run_striped_avx2<std::int8_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx2<std::int8_t, true>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx2<std::int16_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx2<std::int16_t, true>(const TileJob&, TileScratch&);
+template TileResult run_striped_avx2<std::int8_t>(const TileJob&, TileScratch&);
+template TileResult run_striped_avx2<std::int16_t>(const TileJob&, TileScratch&);
 
 }  // namespace cudalign::engine::detail
 

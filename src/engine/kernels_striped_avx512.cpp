@@ -67,15 +67,13 @@ struct Avx512Backend<std::int8_t> {
 
 bool avx512_kernels_compiled() noexcept { return true; }
 
-template <typename LaneT, bool kBest>
+template <typename LaneT>
 TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch) {
-  return run_striped_core<Avx512Backend<LaneT>, kBest>(job, scratch);
+  return run_striped_core<Avx512Backend<LaneT>>(job, scratch);
 }
 
-template TileResult run_striped_avx512<std::int8_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx512<std::int8_t, true>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx512<std::int16_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx512<std::int16_t, true>(const TileJob&, TileScratch&);
+template TileResult run_striped_avx512<std::int8_t>(const TileJob&, TileScratch&);
+template TileResult run_striped_avx512<std::int16_t>(const TileJob&, TileScratch&);
 
 }  // namespace cudalign::engine::detail
 
@@ -85,7 +83,7 @@ namespace cudalign::engine::detail {
 
 bool avx512_kernels_compiled() noexcept { return false; }
 
-template <typename LaneT, bool kBest>
+template <typename LaneT>
 TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch) {
   (void)job;
   (void)scratch;
@@ -93,10 +91,8 @@ TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch) {
   return TileResult{};
 }
 
-template TileResult run_striped_avx512<std::int8_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx512<std::int8_t, true>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx512<std::int16_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx512<std::int16_t, true>(const TileJob&, TileScratch&);
+template TileResult run_striped_avx512<std::int8_t>(const TileJob&, TileScratch&);
+template TileResult run_striped_avx512<std::int16_t>(const TileJob&, TileScratch&);
 
 }  // namespace cudalign::engine::detail
 

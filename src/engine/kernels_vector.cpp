@@ -1,4 +1,7 @@
-// Branch-free anti-diagonal tile kernels (the Stage-1 hot path).
+// Branch-free anti-diagonal tile kernels. The 32-bit sweep runs the Stage-1
+// tiles whose scores leave the striped kernels' 16-bit envelope; the 16-bit
+// sweep has striped16's envelope at a higher cost, so it only runs when
+// pinned (the benchmark's per-layer metric list still names it).
 //
 // Cells on one anti-diagonal d = (i - r0) + j are mutually independent, so
 // the sweep runs d outward and updates a whole diagonal per step with no
@@ -17,11 +20,11 @@
 // detected *before* running, and dispatch falls back to the wide kernel
 // (kernel_registry.cpp), so no saturation can silently corrupt a score.
 //
-// Feature envelope: local mode, optional best tracking; no taps, no value
-// probe (those stay on the specialized row sweeps). Best tracking preserves
-// the scalar kernels' row-major first-occurrence tie-break by reducing each
-// diagonal to its max and, only when that max can beat the running best,
-// re-scanning the diagonal with the full (score, i, j) comparator.
+// Feature envelope: local mode with best tracking; no taps, no value probe
+// (those jobs run on the legacy loop). Best tracking preserves the scalar
+// kernels' row-major first-occurrence tie-break by reducing each diagonal to
+// its max and, only when that max can beat the running best, re-scanning the
+// diagonal with the full (score, i, j) comparator.
 #include <algorithm>
 #include <cstdint>
 
@@ -162,7 +165,7 @@ bool vector16_can_run(const TileJob& job) {
   return vector_can_run(job) && lane_envelope_admits(job, kLaneEnvelope16);
 }
 
-template <typename LaneT, bool kBest>
+template <typename LaneT>
 TileResult run_vector(const TileJob& job, TileScratch& scratch) {
   const Recurrence& rec = *job.recurrence;
   const scoring::Scheme& s = rec.scheme;
@@ -217,23 +220,21 @@ TileResult run_vector(const TileJob& job, TileScratch& scratch) {
     diag_update<LaneT>(lo, hi, ashift, arev, bseg, hp, hp2, ep, fp, hc, ec, fc, gap_ext,
                        gap_first, match, mismatch);
 
-    if constexpr (kBest) {
-      const LaneT dmax = diag_max<LaneT>(hc, lo, hi, kNinf);
-      // Re-scan only when this diagonal can improve the best: higher score,
-      // or equal score at an earlier row-major position (ties across
-      // diagonals are possible because i decreases as j increases within a
-      // diagonal but increases across diagonals).
-      if (dmax > 0 && static_cast<Score>(dmax) >= result.best.score) {
-        for (Index j = lo; j <= hi; ++j) {
-          if (hc[j] != dmax) continue;
-          const Score score = static_cast<Score>(hc[j]);
-          const Index ci = job.r0 + d - j;
-          const Index cj = job.c0 + j;
-          if (score > result.best.score ||
-              (score == result.best.score &&
-               (ci < result.best.i || (ci == result.best.i && cj < result.best.j)))) {
-            result.best = dp::LocalBest{score, ci, cj};
-          }
+    const LaneT dmax = diag_max<LaneT>(hc, lo, hi, kNinf);
+    // Re-scan only when this diagonal can improve the best: higher score,
+    // or equal score at an earlier row-major position (ties across
+    // diagonals are possible because i decreases as j increases within a
+    // diagonal but increases across diagonals).
+    if (dmax > 0 && static_cast<Score>(dmax) >= result.best.score) {
+      for (Index j = lo; j <= hi; ++j) {
+        if (hc[j] != dmax) continue;
+        const Score score = static_cast<Score>(hc[j]);
+        const Index ci = job.r0 + d - j;
+        const Index cj = job.c0 + j;
+        if (score > result.best.score ||
+            (score == result.best.score &&
+             (ci < result.best.i || (ci == result.best.i && cj < result.best.j)))) {
+          result.best = dp::LocalBest{score, ci, cj};
         }
       }
     }
@@ -296,9 +297,7 @@ TileResult run_vector(const TileJob& job, TileScratch& scratch) {
   return result;
 }
 
-template TileResult run_vector<std::int16_t, false>(const TileJob&, TileScratch&);
-template TileResult run_vector<std::int16_t, true>(const TileJob&, TileScratch&);
-template TileResult run_vector<std::int32_t, false>(const TileJob&, TileScratch&);
-template TileResult run_vector<std::int32_t, true>(const TileJob&, TileScratch&);
+template TileResult run_vector<std::int16_t>(const TileJob&, TileScratch&);
+template TileResult run_vector<std::int32_t>(const TileJob&, TileScratch&);
 
 }  // namespace cudalign::engine::detail

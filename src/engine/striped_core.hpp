@@ -87,7 +87,7 @@ struct StripedBindings<std::int16_t> {
 ///   V                  vector register type
 ///   load/store/set1/zero/max/adds/subs/and_   elementwise Lane ops
 /// (adds/subs saturate; inside the envelope no genuine value saturates).
-template <typename B, bool kBest>
+template <typename B>
 TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   using Lane = typename B::Lane;
   using V = typename B::V;
@@ -137,13 +137,11 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   std::fill(scan_pad, scan_pad + p, kNinfLane);
 
   auto& mask = StripedBindings<Lane>::mask(scratch);
-  if constexpr (kBest) {
-    mask.resize(static_cast<std::size_t>(wpad));
-    for (Index k = 0; k < t; ++k) {
-      for (Index l = 0; l < p; ++l) {
-        mask[static_cast<std::size_t>(k * p + l)] =
-            l * t + k < w ? static_cast<Lane>(-1) : static_cast<Lane>(0);
-      }
+  mask.resize(static_cast<std::size_t>(wpad));
+  for (Index k = 0; k < t; ++k) {
+    for (Index l = 0; l < p; ++l) {
+      mask[static_cast<std::size_t>(k * p + l)] =
+          l * t + k < w ? static_cast<Lane>(-1) : static_cast<Lane>(0);
     }
   }
 
@@ -283,9 +281,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
       const V v_ef = B::max(B::load(E + k * p), v_decay);
       const V v_h = B::max(B::load(H + k * p), v_ef);
       B::store(H + k * p, v_h);
-      if constexpr (kBest) {
-        v_rowmax = B::max(v_rowmax, B::and_(v_h, B::load(mask.data() + k * p)));
-      }
+      v_rowmax = B::max(v_rowmax, B::and_(v_h, B::load(mask.data() + k * p)));
       v_decay = B::subs(v_decay, v_ext);
     }
 
@@ -296,27 +292,25 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     job.vbus_out[static_cast<std::size_t>(i)] = BusCell{h_last, e_pub};
     h0_prev = left.h;
 
-    if constexpr (kBest) {
-      // Reduce the masked row max, then locate its first (smallest-j)
-      // occurrence only when it strictly improves — exactly the scalar
-      // kernels' progressive row-major tie-break.
-      B::store(shift_row, v_rowmax);
-      Lane rm = 0;
-      for (Index l = 0; l < p; ++l) rm = std::max(rm, shift_row[l]);
-      const Score row_max = static_cast<Score>(rm);
-      if (row_max > result.best.score) {
-        for (Index l = 0; l < p; ++l) {
-          Index hit = -1;
-          for (Index k = 0; k < t && l * t + k < w; ++k) {
-            if (static_cast<Score>(H[static_cast<std::size_t>(k * p + l)]) == row_max) {
-              hit = l * t + k;
-              break;
-            }
-          }
-          if (hit >= 0) {
-            result.best = dp::LocalBest{row_max, job.r0 + i, job.c0 + hit + 1};
+    // Reduce the masked row max, then locate its first (smallest-j)
+    // occurrence only when it strictly improves — exactly the scalar
+    // kernels' progressive row-major tie-break.
+    B::store(shift_row, v_rowmax);
+    Lane rm = 0;
+    for (Index l = 0; l < p; ++l) rm = std::max(rm, shift_row[l]);
+    const Score row_max = static_cast<Score>(rm);
+    if (row_max > result.best.score) {
+      for (Index l = 0; l < p; ++l) {
+        Index hit = -1;
+        for (Index k = 0; k < t && l * t + k < w; ++k) {
+          if (static_cast<Score>(H[static_cast<std::size_t>(k * p + l)]) == row_max) {
+            hit = l * t + k;
             break;
           }
+        }
+        if (hit >= 0) {
+          result.best = dp::LocalBest{row_max, job.r0 + i, job.c0 + hit + 1};
+          break;
         }
       }
     }

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/io_util.hpp"
 
 namespace cudalign::seq {
 
@@ -88,6 +89,7 @@ void write_fasta_file(const std::filesystem::path& path, const std::vector<Seque
   std::ofstream out(path);
   CUDALIGN_CHECK(out.good(), "cannot open FASTA file for writing: " + path.string());
   write_fasta(out, records, width);
+  close_checked(out, path);
 }
 
 }  // namespace cudalign::seq

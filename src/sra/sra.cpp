@@ -160,6 +160,7 @@ std::size_t SpecialRowsArea::put(const RowKey& key, std::span<const engine::BusC
     CUDALIGN_CHECK(os.good(), "cannot open SRA file for writing");
     write_pod(os, header);
     write_span(os, cells);
+    close_checked(os, file);
   }
   keys_.push_back(key);
   live_.push_back(true);

@@ -125,6 +125,16 @@ grep -q "unknown SIMD ISA" "$DIR/isa.err"
 # A known kernel name pins the selection end to end.
 CUDALIGN_KERNEL=striped16-local+best "$CLI" score "$DIR/a.fasta" "$DIR/b.fasta" \
   | grep -q "best score"
+# A failed write of the alignment must fail the run and name the path
+# (/dev/full takes the open and fails the buffered flush).
+if [ -e /dev/full ]; then
+  if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --out /dev/full >/dev/null \
+       2>"$DIR/full.err"; then
+    echo "align --out /dev/full reported success" >&2
+    exit 1
+  fi
+  grep -q "/dev/full" "$DIR/full.err"
+fi
 # Unknown flag must fail.
 if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --no-such-flag 2>/dev/null; then
   echo "unknown flag was accepted" >&2

@@ -173,6 +173,13 @@ TEST(IoUtil, ReadMissingFileThrows) {
   EXPECT_THROW((void)read_file("/nonexistent/definitely/missing"), Error);
 }
 
+// /dev/full accepts the open and fails the flush: a small write sits in the
+// stream buffer, so only the checked close can see the failure.
+TEST(IoUtil, WriteToFullDeviceThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this platform";
+  EXPECT_THROW(write_file("/dev/full", std::string(100, 'x')), Error);
+}
+
 TEST(Format, Counts) {
   EXPECT_EQ(format_count(999), "999");
   EXPECT_EQ(format_count(162114), "162K");

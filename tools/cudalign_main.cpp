@@ -39,8 +39,8 @@ int usage() {
   cudalign score A.fasta B.fasta [--match N] [--mismatch N] [--gap-first N]
            [--gap-ext N] [--kernel NAME] [--audit-bus]
 
---kernel pins a tile-kernel variant (e.g. legacy, scalar-local+best,
-v16-local+best, striped8-local+best, striped16-local+best; equivalent to
+--kernel pins a tile-kernel variant (e.g. legacy, scalar-global,
+v32-local+best, striped8-local+best, striped16-local+best; equivalent to
 CUDALIGN_KERNEL); tiles outside the variant's envelope fall back to
 automatic selection, so scores are unaffected. The striped kernels pick
 their SIMD backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2 forces
@@ -188,6 +188,7 @@ int cmd_align(const common::Args& args) {
     CUDALIGN_CHECK(cg.good(), "cannot open --cigar output");
     cg << alignment::to_cigar_extended(result.alignment, s0.bases(), aligned_s1.bases())
        << "\n";
+    close_checked(cg, args.str("cigar"));
     std::printf("CIGAR -> %s\n", args.str("cigar").c_str());
   }
   if (args.has("stats")) {
@@ -262,12 +263,14 @@ int cmd_view(const common::Args& args) {
     std::ofstream out(args.str("text"));
     CUDALIGN_CHECK(out.good(), "cannot open --text output");
     alignment::render_text(out, report.alignment, s0.bases(), s1.bases());
+    close_checked(out, args.str("text"));
     std::printf("textual rendering -> %s\n", args.str("text").c_str());
   }
   if (args.has("tsv")) {
     std::ofstream out(args.str("tsv"));
     CUDALIGN_CHECK(out.good(), "cannot open --tsv output");
     alignment::write_path_tsv(out, report.path);
+    close_checked(out, args.str("tsv"));
     std::printf("path samples -> %s\n", args.str("tsv").c_str());
   }
   if (args.has("plot")) {
