@@ -46,7 +46,8 @@ const seq::Sequence& seq_b() {
 // ---------------------------------------------------------------------------
 
 /// A tile archetype: a feature tuple the executor produces. Local tiles
-/// track the best (Stage 1); global ones never do (Stages 2-3).
+/// track the best (Stage 1); global ones never do, and only they carry taps
+/// (special columns) or a goal probe (Stages 2-3).
 struct TileArchetype {
   const char* name;
   bool local;
@@ -58,6 +59,8 @@ constexpr TileArchetype kArchetypes[] = {
     {"local+best", true, false, false},
     {"global", false, false, false},
     {"global+taps", false, true, false},
+    {"global+find", false, false, true},
+    {"global+taps+find", false, true, true},
 };
 
 /// Stage-1 tile shapes swept: the classic alpha*T x n/B block (256x512) and
@@ -201,7 +204,7 @@ void run_kernel_sweep(const std::string& path) {
         s.cols = cols;
         s.gcups = time_variant_gcups(variant, bench);
         tile_samples.push_back(s);
-        std::fprintf(stderr, "[kernel-sweep] %4ldx%-4ld %-12s %-24s %7.3f GCUPS\n", long(rows),
+        std::fprintf(stderr, "[kernel-sweep] %4ldx%-4ld %-16s %-24s %7.3f GCUPS\n", long(rows),
                      long(cols), s.archetype.c_str(), s.kernel.c_str(), s.gcups);
       }
     }

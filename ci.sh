@@ -15,8 +15,7 @@
 #      compares it against bench/baseline.json (tolerance
 #      ${CUDALIGN_BENCH_TOLERANCE:-15} percent; the gate's own self-test runs
 #      in both modes, the baseline comparison only in full mode — timing on a
-#      busy dev box is too noisy for the pre-push loop). Then the perfbench
-#      self-test (perfbench/test_perfbench.py), in both modes.
+#      busy dev box is too noisy for the pre-push loop).
 #   3. Debug build with AddressSanitizer + UndefinedBehaviorSanitizer + full
 #      ctest (contract DCHECKs compiled in)
 #   4. ThreadSanitizer build + full ctest, suppressions in tsan.supp (kept
@@ -32,8 +31,7 @@
 # backstop on top of the per-test TIMEOUT properties.
 #
 # Usage: ./ci.sh [--fast] [jobs]   (jobs defaults to nproc)
-#   --fast  lint + Release suite + gate and perfbench self-tests only: the
-#           quick pre-push loop.
+#   --fast  lint + Release suite + gate self-test only: the quick pre-push loop.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -249,13 +247,6 @@ else
   build-ci-release/tools/bench_gate "$ART_DIR"/BENCH_pipeline*.json bench/baseline.json \
     --tolerance "${CUDALIGN_BENCH_TOLERANCE:-15}"
 fi
-
-# Benchmark self-test (BENCHMARK.json): every workload at small size, both
-# trace modes. A traced run fails when a per-layer metric it lists is
-# missing, so this also proves every kernel name the list carries is still
-# registered. It builds its own tree under .bench_build/.
-stage "bench: perfbench self-test"
-python3 perfbench/test_perfbench.py
 
 if [[ "$FAST" -eq 1 ]]; then
   echo "ci.sh: fast mode — lint + release suite passed"

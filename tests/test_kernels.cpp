@@ -5,10 +5,15 @@
 // boundary corners.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
+#include <regex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -585,6 +590,31 @@ TEST(KernelRegistry, EveryVariantIsAutoSelectedForSomeExecutorJob) {
       EXPECT_GT(picks[variant.id], 0) << variant.name << " is never auto-selected";
     }
   }
+}
+
+// The benchmark's traced run fails when a per-layer metric it lists is
+// missing, and it emits one kernel_cells metric per registered variant ('+'
+// spelled '_'). So every kernel name BENCHMARK.json lists must stay
+// registered.
+TEST(KernelRegistry, EveryBenchmarkKernelMetricNamesARegisteredVariant) {
+  std::ifstream in(std::string(CUDALIGN_REPO_ROOT) + "/BENCHMARK.json");
+  ASSERT_TRUE(in) << "cannot read BENCHMARK.json";
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::set<std::string> registered;
+  for (const KernelVariant& variant : engine::kernel_registry()) {
+    std::string suffix = variant.name;
+    std::replace(suffix.begin(), suffix.end(), '+', '_');
+    registered.insert(suffix);
+  }
+  const std::regex metric(R"re("core\.stage\d\.kernel_cells\.([A-Za-z0-9_-]+)")re");
+  int listed = 0;
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), metric);
+       it != std::sregex_iterator(); ++it) {
+    ++listed;
+    EXPECT_TRUE(registered.count((*it)[1].str()) > 0)
+        << (*it)[0].str() << " names no registered kernel variant";
+  }
+  EXPECT_GT(listed, 0) << "BENCHMARK.json lists no kernel_cells metric";
 }
 
 }  // namespace
