@@ -19,7 +19,8 @@
 #   3. Debug build with AddressSanitizer + UndefinedBehaviorSanitizer + full
 #      ctest (contract DCHECKs compiled in)
 #   4. ThreadSanitizer build + full ctest, suppressions in tsan.supp (kept
-#      empty: a race in cudalign code is a bug, not a suppression)
+#      empty: a race in cudalign code is a bug, not a suppression), then the
+#      tile-scheduler suites repeated under TSan as a stress stage
 #
 # Every suite's configure step is followed by a stale-cache check: a build
 # tree left over from a differently-configured run (say, sanitizer flags
@@ -274,5 +275,14 @@ stage "tsan: ctest"
 (cd build-ci-tsan &&
   TSAN_OPTIONS="suppressions=$(cd .. && pwd)/tsan.supp" ctest --output-on-failure -j "$JOBS" \
     --timeout "$CTEST_TIMEOUT")
+# Scheduler stress: one pass of the suite sees only a few interleavings of
+# the tile graph's hand-offs (done marks, the retiring role, window release,
+# error and stop wind-down), so the scheduler suites rerun many times under
+# TSan: 16 passes take about 90 s on a 4-vCPU host.
+stage "tsan: scheduler stress"
+STRESS_TESTS='TileGraph.*:ScheduleIndependence.*:DataflowEquivalence.*'
+STRESS_TESTS+=':Engine.NestedCallInsidePoolJobRunsInline:Engine.RetireHook*'
+TSAN_OPTIONS="suppressions=$PWD/tsan.supp" build-ci-tsan/tests/cudalign_tests \
+  --gtest_filter="$STRESS_TESTS" --gtest_repeat=16 --gtest_brief=1
 
 echo "ci.sh: all suites passed"

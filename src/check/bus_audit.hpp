@@ -114,7 +114,7 @@ class BusAuditor {
   /// Tile (strip, block) writes vertical boundary `block + 1`, rows [0..rows].
   void write_vertical(Index strip, Index block, Index diagonal, Index rows);
 
-  // --- flush pipeline (driver thread) --------------------------------------
+  // --- flush pipeline (the retiring worker: serialized, in retirement order)
 
   /// Strip `strip` retires and hands its special row to the flush path —
   /// the synchronous put() or the async SRA writer's staging buffer

@@ -7,11 +7,10 @@
 //                                  cudalign::Error — callers can catch it.
 //   CUDALIGN_ASSERT(cond, msg...)  internal invariant; a failure is a library
 //                                  bug. Always on (alignment-correctness bugs
-//                                  are silent-data-corruption bugs) but the
-//                                  reaction is policy-configurable: throw
-//                                  (default), abort (debugging: die at the
-//                                  scene with the stack intact), or log
-//                                  (soak runs: count and continue).
+//                                  are silent-data-corruption bugs) and always
+//                                  throws cudalign::Error: the code after a
+//                                  failed assert never runs on a broken
+//                                  invariant.
 //   CUDALIGN_DCHECK(cond, msg...)  internal invariant too expensive for
 //                                  release hot loops (per-cell, per-lane
 //                                  checks). Compiled out when NDEBUG is
@@ -23,7 +22,6 @@
 // failure: CUDALIGN_ASSERT(i < n, "row ", i, " of ", n).
 #pragma once
 
-#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -31,43 +29,13 @@
 namespace cudalign {
 
 /// The library's one exception type: user-facing failures (bad input, I/O,
-/// configuration) and — under the default policy — broken internal contracts.
+/// configuration) and broken internal contracts.
 class Error : public std::runtime_error {
  public:
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
 namespace check {
-
-/// Reaction to a failed CUDALIGN_ASSERT / CUDALIGN_DCHECK. CUDALIGN_CHECK is
-/// exempt: precondition violations always throw so callers can report them.
-enum class FailurePolicy : std::uint8_t {
-  kThrow,  ///< Throw cudalign::Error (default; what tests expect).
-  kAbort,  ///< Print to stderr and std::abort (debug at the scene).
-  kLog,    ///< Print to stderr, count, continue (soak / triage runs).
-};
-
-[[nodiscard]] FailurePolicy failure_policy() noexcept;
-void set_failure_policy(FailurePolicy policy) noexcept;
-
-/// Failures swallowed under FailurePolicy::kLog since the last reset.
-[[nodiscard]] std::uint64_t logged_failures() noexcept;
-void reset_logged_failures() noexcept;
-
-/// RAII policy override for a scope (tests, soak harnesses).
-class ScopedFailurePolicy {
- public:
-  explicit ScopedFailurePolicy(FailurePolicy policy)
-      : previous_(failure_policy()) {
-    set_failure_policy(policy);
-  }
-  ScopedFailurePolicy(const ScopedFailurePolicy&) = delete;
-  ScopedFailurePolicy& operator=(const ScopedFailurePolicy&) = delete;
-  ~ScopedFailurePolicy() { set_failure_policy(previous_); }
-
- private:
-  FailurePolicy previous_;
-};
 
 namespace detail {
 
@@ -87,10 +55,10 @@ template <typename... Parts>
 [[noreturn]] void fail_check(const char* cond, const char* file, int line,
                              const std::string& msg);
 
-/// CUDALIGN_ASSERT / CUDALIGN_DCHECK failure: honors the failure policy
-/// (returns only under FailurePolicy::kLog).
-void fail_assert(const char* kind, const char* cond, const char* file, int line,
-                 const std::string& msg);
+/// CUDALIGN_ASSERT / CUDALIGN_DCHECK failure: unconditionally throws
+/// cudalign::Error.
+[[noreturn]] void fail_assert(const char* kind, const char* cond, const char* file, int line,
+                              const std::string& msg);
 
 }  // namespace detail
 }  // namespace check
@@ -106,8 +74,8 @@ void fail_assert(const char* kind, const char* cond, const char* file, int line,
     }                                                                      \
   } while (0)
 
-/// Internal invariant; a failure indicates a library bug. Reaction follows
-/// cudalign::check::failure_policy().
+/// Internal invariant; a failure indicates a library bug. Throws
+/// cudalign::Error.
 #define CUDALIGN_ASSERT(cond, ...)                                         \
   do {                                                                     \
     if (!(cond)) {                                                         \

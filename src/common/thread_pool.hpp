@@ -1,18 +1,20 @@
-// A small fixed-size thread pool with a blocking parallel_for.
+// A small fixed-size thread pool with a blocking parallel_for: the process's
+// one set of compute threads.
 //
-// This is the CPU stand-in for the CUDA block scheduler: the wavefront
-// executor submits the blocks of an external diagonal as one shared job and
-// joins the diagonal before advancing (exactly the inter-diagonal
-// synchronization the GPU grid provides).
+// Two kinds of job run on it. The wavefront's tile graph (engine/sched.hpp)
+// is one job per engine run with one iteration per participant, each running
+// a work-stealing worker loop until the graph drains — the CPU stand-in for
+// the CUDA grid. Stages 3-5 fan their independent partitions out as one job
+// with one iteration per partition; engine runs nested inside those
+// iterations execute inline on the iterating thread.
 //
 // parallel_for publishes a single job — a pointer to the caller's function, an
 // iteration count and a shared atomic cursor — and bumps a generation counter
 // to wake the workers. Every participant (workers and the caller) claims
 // iterations from the cursor until it runs dry, so the call allocates nothing
 // and queues nothing: there is no per-iteration task object, and load
-// balancing falls out of the cursor. Concurrent callers are serialized; the
-// dependency structure being modelled (per-diagonal fan-out with a barrier)
-// has exactly one job in flight anyway.
+// balancing falls out of the cursor. Concurrent callers are serialized: one
+// job is in flight at a time, and nested calls run inline.
 #pragma once
 
 #include <atomic>

@@ -70,9 +70,10 @@ struct PipelineOptions {
   bool run_stage6 = true;
 
   /// Progress callback: stage (1-6) and completed fraction of that stage's
-  /// cells. Invoked from the driver thread as Stage-1 strips retire and
-  /// between stages otherwise — chromosome-scale runs take hours
-  /// (18.5 h in the paper) and need liveness reporting.
+  /// cells. Invoked from the retiring worker (serialized, in retirement
+  /// order) as Stage-1 strips retire, and between stages otherwise —
+  /// chromosome-scale runs take hours (18.5 h in the paper) and need
+  /// liveness reporting.
   std::function<void(int stage, double fraction)> progress;
 
   /// Opt-in bus hand-off auditing for every engine run of Stages 1-3

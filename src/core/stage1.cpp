@@ -43,9 +43,9 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
     hooks.special_row_interval = result.flush_interval;
     if (config.sra_async) {
       // Async flush pipeline (DESIGN.md "Stage-1 I/O overlap"): the hook
-      // copies the row into the writer's queue on the driver thread and the
-      // writer thread performs the put() + checkpoint ack off the compute
-      // critical path.
+      // copies the row into the writer's queue on the retiring worker
+      // (serialized, in retirement order) and the writer thread performs the
+      // put() + checkpoint ack off the compute critical path.
       writer.emplace(*config.rows_area);
       hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,
                                  const dp::LocalBest& best) {

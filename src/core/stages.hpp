@@ -24,7 +24,7 @@ namespace cudalign::core {
 
 /// Per-stage accounting feeding Tables IV, V, VII and VIII and the
 /// observability run report (obs/report.hpp). All counters are always
-/// collected — they are driver-thread tallies, cheap enough to never gate.
+/// collected — they are caller-thread tallies, cheap enough to never gate.
 struct StageStats {
   double seconds = 0;
   WideScore cells = 0;       ///< DP cells processed (the paper's Cells_k).
@@ -130,8 +130,9 @@ struct Stage1Config {
   /// Checkpoint hand-off: invoked right after each special row is durable in
   /// `rows_area`, with the row, the rows saved *by this run* and the merged
   /// best-so-far covering every cell up to that row. Deterministic
-  /// (ascending-row) order, on the flushing thread: the driver under the
-  /// synchronous path, the SRA writer thread under `sra_async` — the
+  /// (ascending-row) order, on the flushing thread: the retiring worker
+  /// (serialized, in retirement order) under the synchronous path, the SRA
+  /// writer thread under `sra_async` — the
   /// pipeline turns each call into a manifest save.
   std::function<void(Index row, Index rows_saved, const dp::LocalBest& best)> on_checkpoint;
   /// Liveness: fraction of Stage-1 cells completed (long chromosome runs).

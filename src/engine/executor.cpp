@@ -52,9 +52,13 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   }
   if (pool == nullptr) pool = &ThreadPool::shared();
 
-  // kernel_override() exits the process on an unknown CUDALIGN_KERNEL name;
-  // resolving it here makes that happen before any tile work starts.
+  // kernel_override() and active_simd_isa() exit the process on an unknown
+  // CUDALIGN_KERNEL / CUDALIGN_SIMD value; resolving them here makes that
+  // happen on the caller before any tile work starts. An exit from a tile
+  // on a pool worker would hang in the shared pool's static destructor,
+  // which waits for the job that worker belongs to.
   (void)kernel_override();
+  (void)active_simd_isa();
 
   const Index m = check::checked_cast<Index>(spec.a.size());
   const Index n = check::checked_cast<Index>(spec.b.size());
@@ -113,13 +117,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     chunk_taps[static_cast<std::size_t>(it - cuts.begin() - 1)].push_back(col);
   }
 
-  // As many graph workers as a parallel_for on the pool computes with: its
-  // workers plus the participating caller, or just the caller for a
-  // one-worker pool. A nested call (from inside a pool job, e.g. Stage 3's
-  // partitions) runs inline, as does a one-chunk grid, which is a pure chain.
-  const auto pool_workers = static_cast<int>(pool->worker_count());
-  const int workers =
-      ThreadPool::inside_job() || blocks == 1 || pool_workers <= 1 ? 1 : pool_workers + 1;
+  const int workers = sched::graph_threads(*pool, blocks);
   // Window in retirement units. Diagonal retirement keeps it at one
   // diagonal: tiles past an early stop are wasted, and Stage 2 stops every
   // run.
@@ -153,8 +151,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     return (g + 1) % hooks.special_row_interval == 0 && r1 < m;
   };
 
-  /// Per-strip state: written by the strip's tiles, read by the driver when
-  /// they retire.
+  /// Per-strip state: written by the strip's tiles, read by the retiring
+  /// worker when they retire.
   struct StripSlot {
     /// Vertical bus (H, E) at the strip's current chunk boundary, two planes
     /// alternating by boundary parity: tile (s, b) reads plane b & 1 and
@@ -276,13 +274,15 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
 
     // Special-row capture must happen here, inside the tile: the down
     // successor (s + 1, b) may overwrite the hbus segment the moment this
-    // body returns, long before the driver retires the strip.
+    // body returns, long before the strip retires.
     if (strip_is_special(s)) {
       std::copy(hbus.begin() + c0 + 1, hbus.begin() + c1 + 1, slot.special_row.begin() + c0 + 1);
     }
   };
 
-  // Retires tile (s, b) on the driver thread; false = the run stops here.
+  // Retires tile (s, b) on the retiring worker: serialized, in retirement
+  // order. False = the run stops here.
+  const Index total_tiles = strips * blocks;
   auto retire = [&](Index s, Index b) -> bool {
     StripSlot& slot = slot_of(s);
     const TileResult& tr = slot.results[static_cast<std::size_t>(b)];
@@ -346,25 +346,20 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
         result.stats.special_row_wait_seconds += flush_timer.seconds();
       }
     }
+    result.stopped_early = stop;
+    // A unit's last tile in retirement order: the strip's last chunk, or
+    // the diagonal's bottom-most tile.
+    const bool unit_end = ordered ? b == 0 || s == strips - 1 : last;
+    if (hooks.on_progress && (unit_end || stop)) hooks.on_progress(result.stats.tiles, total_tiles);
     return !stop;
   };
 
   sched::SchedOptions sched_options;
   sched_options.strips = strips;
   sched_options.blocks = blocks;
-  sched_options.workers = workers;
   sched_options.window = window;
   sched_options.retire = ordered ? sched::Retire::kDiagonals : sched::Retire::kStrips;
-  const Index total_tiles = strips * blocks;
-  auto unit_done = [&](Index u) -> bool {
-    const auto visit = [&](Index s, Index b) {
-      if (!result.stopped_early && !retire(s, b)) result.stopped_early = true;
-    };
-    sched_options.for_each_tile(u, visit);
-    if (hooks.on_progress) hooks.on_progress(result.stats.tiles, total_tiles);
-    return !result.stopped_early;
-  };
-  const sched::SchedStats sched_stats = sched::run_tile_graph(sched_options, body, unit_done);
+  const sched::SchedStats sched_stats = sched::run_tile_graph(sched_options, *pool, body, retire);
   result.stats.tiles_stolen = static_cast<Index>(sched_stats.tiles_stolen);
   result.stats.starvation_waits = static_cast<Index>(sched_stats.starvation_waits);
 

@@ -1,13 +1,15 @@
 // Wavefront executor: the CPU stand-in for the CUDA grid scheduler.
 //
 // The DP matrix is processed as strips (height alpha*T) x chunks (B column
-// chunks). Tiles run on the dataflow scheduler (engine/sched.hpp): each tile
-// starts the moment its left-bus and top-bus inputs are published, on
-// work-stealing deques, so a slow tile stalls only its own successors —
-// there is no barrier between external diagonals.
+// chunks). Tiles run on the dataflow scheduler (engine/sched.hpp), one
+// ThreadPool job per run: each tile starts the moment its left-bus and
+// top-bus inputs are published, on work-stealing deques, so a slow tile
+// stalls only its own successors — there is no barrier between external
+// diagonals.
 //
-// Post-processing is deterministic: tiles retire on the caller thread in
-// the order a per-diagonal barrier would post-process them — ascending
+// Post-processing is deterministic: tiles retire one at a time on whichever
+// pool worker (or the caller) completes them, serialized by the scheduler,
+// in the order a per-diagonal barrier would post-process them — ascending
 // external diagonal s + b, then ascending strip. Every hook (tap segments, a
 // kStop from on_tap, the first find_value hit, per-strip best folds,
 // special-row flushes) and every RunStats counter therefore sees exactly the
@@ -122,10 +124,10 @@ struct Hooks {
   /// best_so_far) receives the complete (H, F) row at vertex row `row` (a
   /// multiple of the strip height, as in the paper) and the run's merged
   /// best (local mode) over every strip up to that row — everything a
-  /// checkpoint needs to make the flush durable progress. Driver thread,
-  /// ascending rows. The cells span lives in the strip's slot and is reused
-  /// once the hook returns: copy it when deferring the write. 0 disables
-  /// flushing.
+  /// checkpoint needs to make the flush durable progress. Called on the
+  /// retiring worker: serialized, in retirement order (ascending rows). The
+  /// cells span lives in the strip's slot and is reused once the hook
+  /// returns: copy it when deferring the write. 0 disables flushing.
   Index special_row_interval = 0;
   std::function<void(Index row, std::span<const BusCell> cells, const dp::LocalBest& best_so_far)>
       on_special_row;
@@ -134,8 +136,9 @@ struct Hooks {
   /// hook receives the (H, E) values at the tap column; entry k of the span
   /// is row first_row + k (inclusive). The row-0 boundary values are
   /// delivered once up front as a single-entry span with first_row = 0.
-  /// Segments arrive in tile retirement order (ascending external diagonal,
-  /// then strip); kStop ends the run at that tile.
+  /// Segments arrive on the retiring worker: serialized, in tile retirement
+  /// order (ascending external diagonal, then strip); kStop ends the run at
+  /// that tile.
   std::vector<Index> tap_columns;
   std::function<HookAction(Index col, Index first_row, std::span<const BusCell>)> on_tap;
 
@@ -144,8 +147,9 @@ struct Hooks {
   /// hit is checked before its taps are delivered.
   std::optional<Score> find_value;
 
-  /// Liveness reporting for long runs: called on the driver thread with
-  /// (tiles retired, tiles total) after each retirement unit — monotone.
+  /// Liveness reporting for long runs: called on the retiring worker
+  /// (serialized, in retirement order) with (tiles retired, tiles total)
+  /// after each retirement unit and at an early stop — monotone.
   std::function<void(Index done, Index total)> on_progress;
 
   /// Opt-in bus access auditor (check/bus_audit.hpp): when set, the executor
@@ -180,8 +184,8 @@ struct RunStats {
   Index blocks_used = 0;      ///< B after the minimum-size fit.
   Index threads_used = 0;     ///< T (unchanged by the fit).
   std::size_t bus_bytes = 0;  ///< Peak bus memory (the engine's "VRAM").
-  /// Bus traffic, tallied per tile on the driver thread (near-zero overhead;
-  /// always on). Each tile performs one read and one write of its horizontal
+  /// Bus traffic, tallied per tile as it retires (near-zero overhead; always
+  /// on). Each tile performs one read and one write of its horizontal
   /// segment and of its vertical boundary — pruned tiles included, which
   /// scan their boundary for the bound and publish safe lower bounds — and
   /// special-row assembly re-reads each flushed horizontal segment. *_reads /
@@ -214,10 +218,11 @@ struct RunResult {
   RunStats stats;
 };
 
-/// Runs the wavefront over the whole problem. `pool` defaults to the shared
-/// pool; the graph uses its worker count, and runs inline on the caller when
-/// called from inside one of its jobs (Stage 3's per-partition runs).
-/// Deterministic for any worker count.
+/// Runs the wavefront over the whole problem as one job on `pool` (default:
+/// the shared pool): its workers plus the caller compute, or the caller
+/// alone when called from inside one of its jobs (Stage 3's per-partition
+/// runs). Hooks run on the retiring worker. Deterministic for any worker
+/// count.
 [[nodiscard]] RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks,
                                       ThreadPool* pool = nullptr);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <exception>
 #include <mutex>
@@ -83,60 +82,53 @@ bool WorkStealingDeque::steal(std::int64_t* out) {
 
 namespace {
 
+/// deps value of a tile that has completed (its inputs count only 0..2).
+constexpr std::uint8_t kDone = 0xFF;
+
 /// Shared run state. Tiles are identified as s * blocks + b.
 struct GraphRun {
   SchedOptions opt;
   std::int64_t total = 0;
+  int workers = 1;
 
-  /// Unsatisfied inputs per tile: (s > 0) + (b > 0).
+  /// Unsatisfied inputs per tile, (s > 0) + (b > 0), decremented lock-free;
+  /// kDone once the tile has completed, stored and read under `mutex`.
   std::vector<std::atomic<std::uint8_t>> deps;
-  /// Remaining tiles per retirement unit (the hand-off to the driver).
-  std::vector<std::atomic<Index>> unit_left;
 
   /// std::deque, not vector: WorkStealingDeque holds atomics and is immovable.
   std::deque<WorkStealingDeque> deques;
 
-  /// Highest unit admitted to run: retired units + window. Written by the
-  /// driver under queue_mutex; workers read it lock-free for the fast path
+  /// Highest unit admitted to run: oldest unretired unit + window. Written by
+  /// the retirer under `mutex`; workers read it lock-free for the fast path
   /// and re-check under the mutex before parking a tile.
   std::atomic<Index> admit_limit{0};
 
-  /// Injector + window gate, one mutex: deque-overflow spillover and tiles
-  /// parked past the admit limit.
-  std::mutex queue_mutex;
-  std::deque<std::int64_t> injector CUDALIGN_GUARDED_BY(queue_mutex);
-  std::vector<std::int64_t> parked CUDALIGN_GUARDED_BY(queue_mutex);
+  /// The scheduler mutex: deque-overflow spillover, tiles parked past the
+  /// admit limit, the retirement cursor and role, and the first error.
+  std::mutex mutex;
+  std::deque<std::int64_t> injector CUDALIGN_GUARDED_BY(mutex);
+  std::vector<std::int64_t> parked CUDALIGN_GUARDED_BY(mutex);
+  /// Next tile to retire, in retirement order; total once all have retired.
+  std::int64_t next_retire CUDALIGN_GUARDED_BY(mutex) = 0;
+  /// True while a worker runs retire calls outside the mutex.
+  bool retiring CUDALIGN_GUARDED_BY(mutex) = false;
+  std::exception_ptr error CUDALIGN_GUARDED_BY(mutex);
+  SchedStats stats CUDALIGN_GUARDED_BY(mutex);
 
   /// Quiescence epoch + stop flag (early stop or captured exception).
   std::atomic<std::int64_t> tiles_done{0};
   std::atomic<bool> stop{false};
 
-  /// Driver wake-up: unit completion flags and the first captured error.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::vector<std::uint8_t> unit_complete CUDALIGN_GUARDED_BY(done_mutex);
-  std::exception_ptr error CUDALIGN_GUARDED_BY(done_mutex);
-
-  std::mutex stats_mutex;
-  SchedStats stats CUDALIGN_GUARDED_BY(stats_mutex);
-
   const std::function<void(Index, Index, int)>* body = nullptr;
+  const std::function<bool(Index, Index)>* retire = nullptr;
 
-  [[nodiscard]] Index unit_of(std::int64_t tile) const {
-    return opt.unit_of(tile / opt.blocks, tile % opt.blocks);
-  }
-
-  void fail(std::exception_ptr e) {
-    {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      if (!error) error = std::move(e);
-    }
+  void fail(std::exception_ptr e) CUDALIGN_REQUIRES(mutex) {
+    if (!error) error = std::move(e);
     stop.store(true, std::memory_order_release);
-    done_cv.notify_all();
   }
 
   void inject(std::int64_t tile) {
-    std::lock_guard<std::mutex> lock(queue_mutex);
+    std::lock_guard<std::mutex> lock(mutex);
     injector.push_back(tile);
   }
 
@@ -145,16 +137,16 @@ struct GraphRun {
   }
 
   /// `tile` just became dependency-free; run it only if its unit is inside
-  /// the window, otherwise park it for the driver to release.
+  /// the window, otherwise park it until retirement releases it.
   void gate_tile(int worker, std::int64_t tile) {
-    const Index unit = unit_of(tile);
+    const Index unit = opt.unit_of(tile);
     if (unit <= admit_limit.load(std::memory_order_acquire)) {
       enqueue(worker, tile);
       return;
     }
     {
-      std::lock_guard<std::mutex> lock(queue_mutex);
-      // order: relaxed — the driver only stores admit_limit under queue_mutex.
+      std::lock_guard<std::mutex> lock(mutex);
+      // order: relaxed — admit_limit is only stored under the mutex.
       if (unit > admit_limit.load(std::memory_order_relaxed)) {
         parked.push_back(tile);
         return;
@@ -163,14 +155,67 @@ struct GraphRun {
     enqueue(worker, tile);
   }
 
+  /// Moves the window to `limit` and releases parked tiles that now fit.
+  void open_window(Index limit) CUDALIGN_REQUIRES(mutex) {
+    // order: relaxed — admit_limit is only stored under the mutex.
+    if (limit <= admit_limit.load(std::memory_order_relaxed)) return;
+    admit_limit.store(limit, std::memory_order_release);
+    const auto fits = [this, limit](std::int64_t tile) { return opt.unit_of(tile) <= limit; };
+    for (std::int64_t tile : parked) {
+      if (fits(tile)) injector.push_back(tile);
+    }
+    std::erase_if(parked, fits);
+  }
+
+  /// Marks `tile` done, then — unless another worker holds the role —
+  /// retires every done tile in order, stopping at the first one not yet
+  /// done. The role is taken and given back under the mutex, after a last
+  /// look at the next tile, so a tile marked done while the retirer runs a
+  /// retire call is always picked up by it.
+  void complete(std::int64_t tile) {
+    std::unique_lock<std::mutex> lock(mutex);
+    // order: relaxed — the done mark is written and read only under the mutex.
+    deps[static_cast<std::size_t>(tile)].store(kDone, std::memory_order_relaxed);
+    if (retiring) return;
+    retiring = true;
+    // order: relaxed — the done mark is written and read only under the mutex.
+    while (next_retire < total && !stop.load(std::memory_order_acquire) &&
+           deps[static_cast<std::size_t>(next_retire)].load(std::memory_order_relaxed) == kDone) {
+      const std::int64_t t = next_retire;
+      lock.unlock();
+      bool keep_going = true;
+      std::exception_ptr retire_error;
+      if (*retire) {
+        try {
+          keep_going = (*retire)(t / opt.blocks, t % opt.blocks);
+        } catch (...) {
+          retire_error = std::current_exception();
+        }
+      }
+      lock.lock();
+      if (retire_error) {
+        fail(retire_error);
+        break;
+      }
+      if (!keep_going) {
+        stop.store(true, std::memory_order_release);
+        break;
+      }
+      next_retire = opt.next_in_order(t);
+      if (next_retire < total) open_window(opt.unit_of(next_retire) + opt.window);
+    }
+    retiring = false;
+  }
+
   void execute(std::int64_t tile, int worker) {
     const Index s = tile / opt.blocks;
     const Index b = tile % opt.blocks;
     try {
       (*body)(s, b, worker);
     } catch (...) {
-      // Successors stay blocked (their inputs were never published); the
-      // driver observes the error and stops the run.
+      // Successors stay blocked (their inputs were never published) and the
+      // tile never retires; the stop flag winds the run down.
+      std::lock_guard<std::mutex> lock(mutex);
       fail(std::current_exception());
       return;
     }
@@ -187,16 +232,11 @@ struct GraphRun {
       }
     }
     tiles_done.fetch_add(1, std::memory_order_release);
-    const Index unit = opt.unit_of(s, b);
-    if (unit_left[static_cast<std::size_t>(unit)].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      unit_complete[static_cast<std::size_t>(unit)] = 1;
-      done_cv.notify_all();
-    }
+    complete(tile);
   }
 
   bool pop_injector(std::int64_t* out) {
-    std::lock_guard<std::mutex> lock(queue_mutex);
+    std::lock_guard<std::mutex> lock(mutex);
     if (injector.empty()) return false;
     *out = injector.front();
     injector.pop_front();
@@ -212,8 +252,8 @@ struct GraphRun {
         tile = -1;
         if (!pop_injector(&tile)) {
           tile = -1;
-          for (int i = 1; i < opt.workers; ++i) {
-            if (deques[static_cast<std::size_t>((w + i) % opt.workers)].steal(&tile)) {
+          for (int i = 1; i < workers; ++i) {
+            if (deques[static_cast<std::size_t>((w + i) % workers)].steal(&tile)) {
               ++local.tiles_stolen;
               break;
             }
@@ -239,7 +279,7 @@ struct GraphRun {
       execute(tile, w);
       ++local.tiles_executed;
     }
-    std::lock_guard<std::mutex> lock(stats_mutex);
+    std::lock_guard<std::mutex> lock(mutex);
     stats.tiles_executed += local.tiles_executed;
     stats.tiles_stolen += local.tiles_stolen;
     stats.starvation_waits += local.starvation_waits;
@@ -248,50 +288,34 @@ struct GraphRun {
 
 }  // namespace
 
-SchedStats run_tile_graph(const SchedOptions& options,
+int graph_threads(const ThreadPool& pool, Index blocks) {
+  const auto pool_workers = static_cast<int>(pool.worker_count());
+  return ThreadPool::inside_job() || blocks == 1 || pool_workers <= 1 ? 1 : pool_workers + 1;
+}
+
+SchedStats run_tile_graph(const SchedOptions& options, ThreadPool& pool,
                           const std::function<void(Index s, Index b, int worker)>& body,
-                          const std::function<bool(Index unit)>& unit_done) {
+                          const std::function<bool(Index s, Index b)>& retire) {
   CUDALIGN_CHECK(options.strips > 0 && options.blocks > 0, "tile graph must be non-empty");
-  CUDALIGN_CHECK(options.workers > 0, "tile graph needs at least one worker");
   CUDALIGN_CHECK(options.window > 0, "unit window must be positive");
   CUDALIGN_CHECK(body != nullptr, "tile graph needs a body");
 
-  const Index unit_count = options.unit_count();
-
-  if (options.workers == 1) {
-    // Inline: every unit's tiles in retirement order — a topological order
-    // of the tile graph, since a tile's inputs sit in earlier units (or, for
-    // strip units, earlier in the same unit).
-    SchedStats stats;
-    for (Index u = 0; u < unit_count; ++u) {
-      options.for_each_tile(u, [&](Index s, Index b) { body(s, b, 0); });
-      stats.tiles_executed += options.unit_size(u);
-      if (unit_done && !unit_done(u)) break;
-    }
-    return stats;
-  }
-
   GraphRun run;
   run.opt = options;
-  run.total = static_cast<std::int64_t>(options.strips) * options.blocks;
+  run.total = options.tile_count();
+  run.workers = graph_threads(pool, options.blocks);
   run.body = &body;
+  run.retire = &retire;
   run.deps = std::vector<std::atomic<std::uint8_t>>(static_cast<std::size_t>(run.total));
   for (Index s = 0; s < options.strips; ++s) {
     for (Index b = 0; b < options.blocks; ++b) {
       const std::uint8_t inputs = s > 0 && b > 0 ? 2 : (s > 0 || b > 0 ? 1 : 0);
-      // order: relaxed — pre-start initialization; thread creation publishes it.
-      run.deps[static_cast<std::size_t>(s * options.blocks + b)].store(
-          inputs, std::memory_order_relaxed);
+      // order: relaxed — pre-start initialization; the job publication publishes it.
+      run.deps[static_cast<std::size_t>(options.tile_id(s, b))].store(inputs,
+                                                                      std::memory_order_relaxed);
     }
   }
-  run.unit_left = std::vector<std::atomic<Index>>(static_cast<std::size_t>(unit_count));
-  for (Index u = 0; u < unit_count; ++u) {
-    // order: relaxed — pre-start initialization; thread creation publishes it.
-    run.unit_left[static_cast<std::size_t>(u)].store(options.unit_size(u),
-                                                     std::memory_order_relaxed);
-  }
-  run.unit_complete.assign(static_cast<std::size_t>(unit_count), 0);
-  // order: relaxed — pre-start initialization; thread creation publishes it.
+  // order: relaxed — pre-start initialization; the job publication publishes it.
   run.admit_limit.store(options.window, std::memory_order_relaxed);
   // Each in-flight strip contributes at most one ready tile (within-strip
   // execution is sequential), so this capacity is never the limit in
@@ -299,61 +323,17 @@ SchedStats run_tile_graph(const SchedOptions& options,
   const Index in_flight =
       options.window + 1 + (options.diagonal_units() ? options.blocks - 1 : 0);
   const std::size_t deque_capacity = ceil_pow2(static_cast<std::size_t>(in_flight) + 1) * 2;
-  for (int w = 0; w < options.workers; ++w) run.deques.emplace_back(deque_capacity);
+  for (int w = 0; w < run.workers; ++w) run.deques.emplace_back(deque_capacity);
 
   // Seed the root: worker 0's deque starts with tile (0, 0).
   (void)run.deques[0].push(0);
 
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(options.workers));
-  for (int w = 0; w < options.workers; ++w) {
-    workers.emplace_back([&run, w] { run.worker_loop(w); });
-  }
+  // One iteration per participant; with one, parallel_for runs it inline.
+  pool.parallel_for(static_cast<std::size_t>(run.workers),
+                    [&run](std::size_t w) { run.worker_loop(static_cast<int>(w)); });
 
-  // Driver loop: retire units in ascending order.
-  std::exception_ptr driver_error;
-  {
-    std::unique_lock<std::mutex> lock(run.done_mutex);
-    for (Index u = 0; u < unit_count; ++u) {
-      run.done_cv.wait(lock, [&run, u] {
-        return run.error != nullptr || run.unit_complete[static_cast<std::size_t>(u)] != 0;
-      });
-      if (run.error != nullptr) break;
-      lock.unlock();
-      bool keep_going = true;
-      if (unit_done) {
-        try {
-          keep_going = unit_done(u);
-        } catch (...) {
-          driver_error = std::current_exception();
-          keep_going = false;
-        }
-      }
-      if (keep_going) {
-        // Advance the window and release parked tiles that now fit.
-        std::lock_guard<std::mutex> gate(run.queue_mutex);
-        const Index limit = u + 1 + options.window;
-        run.admit_limit.store(limit, std::memory_order_release);
-        const auto fits = [&run, limit](std::int64_t tile) { return run.unit_of(tile) <= limit; };
-        for (std::int64_t tile : run.parked) {
-          if (fits(tile)) run.injector.push_back(tile);
-        }
-        std::erase_if(run.parked, fits);
-      } else {
-        run.stop.store(true, std::memory_order_release);
-      }
-      lock.lock();
-      if (!keep_going) break;
-    }
-  }
-  run.stop.store(true, std::memory_order_release);
-  for (std::thread& t : workers) t.join();
-
-  if (driver_error) std::rethrow_exception(driver_error);
-  {
-    std::lock_guard<std::mutex> lock(run.done_mutex);
-    if (run.error) std::rethrow_exception(run.error);
-  }
+  std::lock_guard<std::mutex> lock(run.mutex);
+  if (run.error) std::rethrow_exception(run.error);
   return run.stats;
 }
 

@@ -1,56 +1,64 @@
 // Dataflow tile scheduler: dependency-driven execution of the wavefront
-// tile graph, with deterministic in-order retirement on the caller thread.
+// tile graph on a ThreadPool, with deterministic in-order retirement.
 //
 // Each tile (s, b) of the strips x blocks grid carries an atomic dependency
 // counter — one unit per published input bus, left (s, b-1) and top
-// (s-1, b) — and becomes runnable the moment the counter hits zero. Workers
-// pull from per-thread work-stealing deques (bounded Chase-Lev; see
-// WorkStealingDeque) seeded with tile (0, 0); completing a tile decrements
-// its right and down successors and pushes any that became ready onto the
-// finisher's own deque, so the frontier advances with no global barrier: a
-// slow tile stalls only its own successors.
+// (s-1, b) — and becomes runnable the moment the counter hits zero. The
+// graph runs as one ThreadPool::parallel_for job: every participant (the
+// pool's workers and the caller) runs one worker loop over per-participant
+// work-stealing deques (bounded Chase-Lev; see WorkStealingDeque) seeded
+// with tile (0, 0). Completing a tile decrements its right and down
+// successors and pushes any that became ready onto the finisher's own deque,
+// so the frontier advances with no global barrier: a slow tile stalls only
+// its own successors.
 //
 // Three pieces of protocol on top of the bare DAG:
 //
-//   * In-order retirement. Tiles are grouped into retirement *units*
-//     (Retire below): whole strips, or external diagonals s + b. The caller
-//     thread (the driver) is woken as each unit's last tile completes and
-//     runs `unit_done(u)` for u = 0, 1, 2, ... — all deterministic
-//     post-processing (stats folds, best merges, hook calls, special-row
-//     flushes, checkpoint cursors) happens there, in a fixed order that does
-//     not depend on the execution interleaving. Diagonal units reproduce
-//     the post-processing order of a per-diagonal barrier exactly (ascending
-//     diagonal, then ascending strip), which is what makes the first tap
-//     kStop or probe hit schedule-independent.
-//   * Window gating. A tile whose unit lies more than `window` units past
-//     the last retired one is withheld (parked) until the driver catches up.
-//     With strip units this only ever parks column-0 tiles and bounds
-//     in-flight strips to window + 1; with diagonal units it bounds executed
-//     but unretired tiles to window diagonals — the work an early stop
-//     wastes — and in-flight strips to blocks + window. Every per-strip
-//     resource the executor rotates (vertical-bus planes, result slots,
-//     special-row buffers) is sized from that bound; without it a
-//     depth-first column-0 chain could start O(strips) strips.
+//   * In-order retirement. `retire(s, b)` runs once per tile, in a fixed
+//     order (Retire below): strip-major, or by external diagonal s + b and
+//     then ascending strip. All deterministic post-processing (stats folds,
+//     best merges, hook calls, special-row flushes, checkpoint cursors)
+//     happens there, so it does not depend on the execution interleaving.
+//     Diagonal order reproduces the post-processing order of a per-diagonal
+//     barrier exactly, which is what makes the first tap kStop or probe hit
+//     schedule-independent. There is no driver thread: the worker that
+//     completes a tile marks it done under the scheduler mutex and, if no
+//     other worker is retiring, becomes the retirer. It retires tiles one at
+//     a time until the next tile in order is not done yet, then hands the
+//     role back under the same mutex — so retire calls are serialized, in
+//     order, and no completed tile is ever left unretired.
+//   * Window gating. A tile whose unit (a strip, or a diagonal) lies more
+//     than `window` units past the oldest unretired one is withheld (parked)
+//     until retirement catches up. With strip units this only ever parks
+//     column-0 tiles and bounds in-flight strips to window + 1; with
+//     diagonal units it bounds executed but unretired tiles to window
+//     diagonals — the work an early stop wastes — and in-flight strips to
+//     blocks + window. Every per-strip resource the executor rotates
+//     (vertical-bus planes, result slots, special-row buffers) is sized from
+//     that bound; without it a depth-first column-0 chain could start
+//     O(strips) strips.
 //   * Epoch-based quiescence. Completion is a monotone epoch counter
 //     (tiles_done); workers spin down when it reaches the tile total or when
-//     the stop flag rises (driver early-stop or a worker exception — the
-//     first exception is captured and rethrown on the caller after all
-//     workers have drained).
+//     the stop flag rises (a retire that returned false, or an exception
+//     from a tile or a retire — the first one is captured and rethrown on
+//     the caller after the job has joined).
 //
-// With one worker the graph runs inline on the caller, unit by unit, with no
-// thread at all — the path nested calls from inside a ThreadPool job take,
-// so compute threads never exceed the pool's.
+// One code path serves 1 to N participants. A run is single-threaded,
+// inline on the caller, when it is nested inside a pool job (Stage 3's
+// per-partition runs), when the pool has one worker, or when the grid has
+// one chunk (a pure chain) — so compute threads never exceed the pool's.
 //
 // Memory ordering: the dependency decrement is fetch_sub(acq_rel), so the
 // worker that observes a counter hit zero has acquired every write both
 // predecessor tiles published (bus segments, result slots); deque push/steal
 // adds the usual release/acquire edge to whichever worker actually runs the
-// tile. The per-unit remaining-tiles counter gives the driver the same
-// guarantee for whole units. Everything a tile writes may therefore be
-// plain (non-atomic) data. Every seq_cst or relaxed site in sched.cpp
-// carries a `// order:` justification, and the run state's mutex-protected
-// fields are CUDALIGN_GUARDED_BY-annotated — both enforced statically by
-// cudalint's explicit-memory-order and guarded-by rules.
+// tile. The done mark and the retiring role live under the scheduler mutex,
+// which orders each tile's writes before its retire call and each retire
+// call before the next. Everything a tile writes may therefore be plain
+// (non-atomic) data. Every seq_cst or relaxed site in sched.cpp carries an
+// `// order:` justification, and the run state's mutex-protected fields are
+// CUDALIGN_GUARDED_BY-annotated — both enforced statically by cudalint's
+// explicit-memory-order and guarded-by rules.
 #pragma once
 
 #include <algorithm>
@@ -59,6 +67,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 
 namespace cudalign::engine::sched {
@@ -87,39 +96,37 @@ class WorkStealingDeque {
   alignas(64) std::atomic<std::int64_t> bottom_{0};
 };
 
-/// What the driver retires as one unit, in ascending unit order.
+/// The order tiles retire in. A unit is what the admission window counts.
 enum class Retire : std::uint8_t {
-  kStrips,     ///< Unit u = strip u: tiles (u, 0 .. blocks-1).
+  kStrips,     ///< Strip-major; unit u = strip u: tiles (u, 0 .. blocks-1).
   kDiagonals,  ///< Unit u = external diagonal u: tiles (s, u - s), ascending s.
 };
 
+/// Grid shape, window and retirement order. Tiles are identified as
+/// s * blocks + b; all index arithmetic is 64-bit.
 struct SchedOptions {
   Index strips = 0;
   Index blocks = 0;
-  /// Worker threads; 1 runs the graph inline on the caller.
-  int workers = 1;
-  /// Units past the last retired one allowed to start (window gating above).
+  /// Units past the oldest unretired one allowed to start (window gating).
   Index window = 8;
   Retire retire = Retire::kStrips;
 
   [[nodiscard]] bool diagonal_units() const { return retire == Retire::kDiagonals; }
-  [[nodiscard]] Index unit_count() const { return diagonal_units() ? strips + blocks - 1 : strips; }
-  [[nodiscard]] Index unit_of(Index s, Index b) const { return diagonal_units() ? s + b : s; }
-  /// Number of tiles in unit u.
-  [[nodiscard]] Index unit_size(Index u) const {
-    return diagonal_units() ? std::min(strips - 1, u) - std::max<Index>(0, u - blocks + 1) + 1
-                            : blocks;
+  [[nodiscard]] std::int64_t tile_count() const { return strips * blocks; }
+  [[nodiscard]] std::int64_t tile_id(Index s, Index b) const { return s * blocks + b; }
+  [[nodiscard]] Index unit_of(std::int64_t tile) const {
+    return diagonal_units() ? tile / blocks + tile % blocks : tile / blocks;
   }
-  /// Calls f(s, b) for every tile of unit u, in retirement order.
-  template <typename F>
-  void for_each_tile(Index u, F&& f) const {
-    if (!diagonal_units()) {
-      for (Index b = 0; b < blocks; ++b) f(u, b);
-      return;
-    }
-    for (Index s = std::max<Index>(0, u - blocks + 1); s <= std::min(strips - 1, u); ++s) {
-      f(s, u - s);
-    }
+  /// The tile retired after `tile`; tile_count() after the last one.
+  [[nodiscard]] std::int64_t next_in_order(std::int64_t tile) const {
+    if (!diagonal_units()) return tile + 1;
+    const Index s = tile / blocks;
+    const Index b = tile % blocks;
+    if (s + 1 < strips && b > 0) return tile + blocks - 1;  // (s + 1, b - 1)
+    const Index d = s + b + 1;  // First tile of the next diagonal.
+    if (d > strips + blocks - 2) return tile_count();
+    const Index first = std::max<Index>(0, d - blocks + 1);
+    return tile_id(first, d - first);
   }
 };
 
@@ -131,16 +138,19 @@ struct SchedStats {
   std::int64_t starvation_waits = 0; ///< Idle scans that found every source empty.
 };
 
-/// Executes `body(s, b, worker)` for every tile of the grid, honoring the
-/// left + top dependency edges. `unit_done(u)` runs on the *caller* thread in
-/// ascending unit order as units complete; returning false stops the run
-/// (remaining tiles are abandoned). Worker threads are spawned per call — the
-/// executor's thread pool cannot host them because its caller participates
-/// in every parallel_for, and here the caller must stay free to act as the
-/// driver. Exceptions thrown by `body` or `unit_done` stop the run and are
-/// rethrown on the caller.
-SchedStats run_tile_graph(const SchedOptions& options,
+/// Compute threads a tile graph of `blocks` chunks runs on from this thread:
+/// the pool's workers plus the caller, or 1 (inline on the caller) inside a
+/// pool job, on a one-worker pool or for a one-chunk grid.
+[[nodiscard]] int graph_threads(const ThreadPool& pool, Index blocks);
+
+/// Executes `body(s, b, worker)` for every tile of the grid on
+/// graph_threads(pool, blocks) threads, honoring the left + top dependency
+/// edges. `retire(s, b)` runs once per completed tile, in retirement order,
+/// serialized, on whichever worker is retiring; returning false stops the
+/// run at that tile (remaining tiles are abandoned). Exceptions thrown by
+/// `body` or `retire` stop the run and are rethrown on the caller.
+SchedStats run_tile_graph(const SchedOptions& options, ThreadPool& pool,
                           const std::function<void(Index s, Index b, int worker)>& body,
-                          const std::function<bool(Index unit)>& unit_done);
+                          const std::function<bool(Index s, Index b)>& retire);
 
 }  // namespace cudalign::engine::sched

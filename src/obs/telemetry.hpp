@@ -3,7 +3,7 @@
 //
 // Near-zero overhead when idle: every producer holds a `Telemetry*` that is
 // null unless the caller opted in (--report), so the disabled path is one
-// pointer test. The recorder itself is driver-thread-only by design — stages
+// pointer test. The recorder itself is caller-thread-only by design — stages
 // open spans between engine runs, on the caller thread; never share one
 // Telemetry across concurrently-running producers.
 #pragma once

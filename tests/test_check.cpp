@@ -24,8 +24,6 @@ static_assert(std::is_same_v<check::Index, Index>);
 using check::BusAuditor;
 using check::BusEndpoint;
 using check::BusViolation;
-using check::FailurePolicy;
-using check::ScopedFailurePolicy;
 
 // ---------------------------------------------------------------------------
 // Contract macros.
@@ -50,33 +48,7 @@ TEST(Contracts, PassingConditionEvaluatesExactlyOnce) {
 }
 
 TEST(Contracts, AssertDefaultPolicyThrows) {
-  EXPECT_EQ(check::failure_policy(), FailurePolicy::kThrow);
   EXPECT_THROW(CUDALIGN_ASSERT(false, "broken invariant"), Error);
-}
-
-TEST(Contracts, LogPolicyCountsAndContinues) {
-  ScopedFailurePolicy scope(FailurePolicy::kLog);
-  check::reset_logged_failures();
-  EXPECT_NO_THROW(CUDALIGN_ASSERT(false, "soak failure 1"));
-  EXPECT_NO_THROW(CUDALIGN_ASSERT(false, "soak failure 2"));
-  EXPECT_EQ(check::logged_failures(), 2u);
-  check::reset_logged_failures();
-  EXPECT_EQ(check::logged_failures(), 0u);
-}
-
-TEST(Contracts, ScopedPolicyRestoresOnExit) {
-  ASSERT_EQ(check::failure_policy(), FailurePolicy::kThrow);
-  {
-    ScopedFailurePolicy scope(FailurePolicy::kLog);
-    EXPECT_EQ(check::failure_policy(), FailurePolicy::kLog);
-  }
-  EXPECT_EQ(check::failure_policy(), FailurePolicy::kThrow);
-}
-
-TEST(Contracts, CheckIsExemptFromPolicy) {
-  // User-facing preconditions must stay catchable even in soak mode.
-  ScopedFailurePolicy scope(FailurePolicy::kLog);
-  EXPECT_THROW(CUDALIGN_CHECK(false, "bad input"), Error);
 }
 
 #if !defined(NDEBUG) || defined(CUDALIGN_FORCE_DCHECKS)

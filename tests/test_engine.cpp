@@ -5,7 +5,9 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -760,6 +762,57 @@ TEST(Engine, NestedCallInsidePoolJobRunsInline) {
     EXPECT_EQ(run.stats.kernels, top.result.stats.kernels);
     EXPECT_EQ(run.stats.tiles_stolen, 0);  // Inline: no graph workers.
   }
+}
+
+TEST(Engine, RetireHookThrowingOnPoolWorkerReachesCallerAndPoolRecovers) {
+  // Tiles retire on whichever worker completes them, so hooks run on pool
+  // threads too. A hook that throws there must surface on the run_wavefront
+  // caller, and the same pool must then complete a normal run.
+  const auto a = rand_seq(600, 67001);
+  const auto b = rand_seq(640, 67002);
+  ProblemSpec spec;
+  spec.a = a.bases();
+  spec.b = b.bases();
+  spec.grid = tiny_grid(8, 4, 2);  // 75 strips x 8 blocks.
+  spec.recurrence = engine::Recurrence::local(paper());
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  // Which worker retires a given tile is up to the schedule: retry until a
+  // tap lands on a pool worker (the first attempt almost always does).
+  bool thrown_on_worker = false;
+  for (int attempt = 0; attempt < 20 && !thrown_on_worker; ++attempt) {
+    Hooks hooks;
+    hooks.tap_columns = {320};
+    hooks.on_tap = [&](Index, Index, std::span<const BusCell>) {
+      if (std::this_thread::get_id() != caller) throw std::runtime_error("tap sink failed");
+      return HookAction::kContinue;
+    };
+    try {
+      (void)engine::run_wavefront(spec, hooks, &pool);
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "tap sink failed");
+      thrown_on_worker = true;
+    }
+  }
+  ASSERT_TRUE(thrown_on_worker) << "no tap was ever delivered on a pool worker";
+
+  std::vector<Tap> got_taps, want_taps;
+  const auto hooks_into = [](std::vector<Tap>& taps) {
+    Hooks hooks;
+    hooks.tap_columns = {320};
+    hooks.on_tap = [&taps](Index col, Index first_row, std::span<const BusCell> cells) {
+      taps.push_back({col, first_row, {cells.begin(), cells.end()}});
+      return HookAction::kContinue;
+    };
+    return hooks;
+  };
+  const engine::RunResult got = engine::run_wavefront(spec, hooks_into(got_taps), &pool);
+  const engine::RunResult want = engine::run_reference(spec, hooks_into(want_taps));
+  expect_same_best(want.best, got.best, "after a failed run");
+  EXPECT_EQ(got.stats.cells, want.stats.cells);
+  EXPECT_EQ(got.stats.tiles, want.stats.tiles);
+  EXPECT_FALSE(got.stopped_early);
+  EXPECT_TRUE(got_taps == want_taps) << "tap sequences differ";
 }
 
 // The checkpoint/resume contract at the engine layer: restarting from a
