@@ -15,12 +15,6 @@
 // best-effort by design: tiles outside a kernel's exactness envelope fall
 // back to automatic selection (scores never change, only speed).
 //
-// The [sync-flush] row reruns the plain configuration with --sra-async off: special
-// rows are written (and checkpointed) on the compute thread, the pipeline's
-// pre-overlap behavior. The per-entry "stage-1 async-flush speedup" line
-// against the plain (async-default) row measures the compute/IO overlap the
-// dedicated SRA writer thread buys on flush-heavy entries.
-//
 //   --fast    smallest roster entry only (the CI smoke configuration)
 //   --out F   JSON output path ("off" disables the artifact)
 #include <string_view>
@@ -37,16 +31,11 @@ struct Variant {
   const char* suffix;  ///< Appended to both the table and the JSON label.
   bool prune;
   const char* kernel = "";  ///< Process-wide kernel pin for this row ("" = auto).
-  bool sync_flush = false;  ///< Synchronous SRA flushes (--sra-async off).
 };
 
 std::vector<Variant> variants_for(const cudalign::bench::RosterEntry& e) {
   std::vector<Variant> v = {
       {"", false},
-      // The synchronous flush reference: identical work, but every special
-      // row's write + checkpoint blocks the wavefront. The gap against the
-      // plain (async) row is the Stage-1 compute/IO overlap win.
-      {" [sync-flush]", false, "", true},
       {" [v16]", false, "v16-local+best"},
       {" [striped8]", false, "striped8-local+best"},
       {" [striped16]", false, "striped16-local+best"},
@@ -82,14 +71,11 @@ int main(int argc, char** argv) {
 
   for (const auto& e : entries) {
     const auto pair = make_pair(e);
-    double s1_plain = 0;  // Plain (async-flush) row, for the async-overlap line.
     double s1_v16 = 0, s1_striped8 = 0, s1_striped16 = 0;  // For the striped-vs-v16 speedup line.
-    double s1_sync = 0;  // Synchronous-flush reference, for the async-overlap line.
 
     for (const Variant& v : variants_for(e)) {
       core::PipelineOptions options = bench_options();
       options.block_pruning = v.prune;
-      options.sra_async = !v.sync_flush;
       obs::Telemetry telemetry;
       options.telemetry = &telemetry;
       engine::set_kernel_override(v.kernel);
@@ -106,11 +92,6 @@ int main(int argc, char** argv) {
       }
       const double total = result.total_seconds();
       const double stage1 = result.stages[0].seconds;
-      if (v.sync_flush) {
-        s1_sync = stage1;
-      } else if (v.kernel[0] == '\0' && !v.prune) {
-        s1_plain = stage1;
-      }
       if (std::string_view(v.kernel) == "v16-local+best") s1_v16 = stage1;
       if (std::string_view(v.kernel) == "striped8-local+best") s1_striped8 = stage1;
       if (std::string_view(v.kernel) == "striped16-local+best") s1_striped16 = stage1;
@@ -137,11 +118,6 @@ int main(int argc, char** argv) {
       std::printf("  stage-1 striped16 vs v16 speedup: %.2fx", s1_v16 / s1_striped16);
       if (s1_striped8 > 0) std::printf(", striped8 %.2fx", s1_v16 / s1_striped8);
       std::printf("\n");
-    }
-    if (s1_sync > 0 && s1_plain > 0) {
-      std::printf("  stage-1 async-flush speedup: %.2fx (sync %s -> async %s)\n",
-                  s1_sync / s1_plain, format_seconds(s1_sync).c_str(),
-                  format_seconds(s1_plain).c_str());
     }
   }
 

@@ -278,10 +278,13 @@ stage "tsan: ctest"
 # Scheduler stress: one pass of the suite sees only a few interleavings of
 # the tile graph's hand-offs (done marks, the retiring role, window release,
 # error and stop wind-down), so the scheduler suites rerun many times under
-# TSan: 16 passes take about 90 s on a 4-vCPU host.
+# TSan. Every flushing Stage 1 runs the SRA writer thread beside the pool
+# workers, so the writer and flush-pipeline suites rerun with them.
+# 16 passes take about 70 s on a 4-vCPU host (the two flush suites add ~10 s).
 stage "tsan: scheduler stress"
 STRESS_TESTS='TileGraph.*:ScheduleIndependence.*:DataflowEquivalence.*'
 STRESS_TESTS+=':Engine.NestedCallInsidePoolJobRunsInline:Engine.RetireHook*'
+STRESS_TESTS+=':AsyncWriter.*:PipelineAsyncFlush.*'
 TSAN_OPTIONS="suppressions=$PWD/tsan.supp" build-ci-tsan/tests/cudalign_tests \
   --gtest_filter="$STRESS_TESTS" --gtest_repeat=16 --gtest_brief=1
 

@@ -54,15 +54,9 @@ struct PipelineOptions {
   /// Unread; kept only because perfbench/main.cpp assigns it (see
   /// engine::ExecutorKind).
   engine::ExecutorKind executor = engine::ExecutorKind::kDataflow;
-  /// Asynchronous stage-1 special-row flushing (`--sra-async`; DESIGN.md
-  /// "Stage-1 I/O overlap"): rows are handed to a dedicated SRA writer
-  /// thread so strip retirement overlaps the CRC'd write + fsync + manifest
-  /// save instead of stalling on them. The checkpoint cursor still advances
-  /// only on durable-ack, in row order, so the store, the manifest sequence
-  /// and kill-and-resume behavior are byte-identical to the synchronous
-  /// path — which stays selectable (`--sra-async=off`) as the reference to
-  /// diff against. Deliberately NOT part of the checkpoint envelope: a
-  /// checkpoint taken under one setting may be resumed under the other.
+  /// Unread; kept only because perfbench/main.cpp assigns it. Stage 1
+  /// always flushes through the SRA writer thread (DESIGN.md "Stage-1 I/O
+  /// overlap").
   bool sra_async = true;
   bool save_special_columns = true; ///< Off = skip Stage 3 (Stage 4 absorbs it).
   bool balanced_splitting = true;   ///< Stage 4 ablation (Figure 10).

@@ -52,11 +52,9 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   }
   if (pool == nullptr) pool = &ThreadPool::shared();
 
-  // kernel_override() and active_simd_isa() exit the process on an unknown
-  // CUDALIGN_KERNEL / CUDALIGN_SIMD value; resolving them here makes that
-  // happen on the caller before any tile work starts. An exit from a tile
-  // on a pool worker would hang in the shared pool's static destructor,
-  // which waits for the job that worker belongs to.
+  // kernel_override() and active_simd_isa() throw on a bad CUDALIGN_KERNEL /
+  // CUDALIGN_SIMD value; resolving them here fails the run before any tile
+  // work starts.
   (void)kernel_override();
   (void)active_simd_isa();
 

@@ -193,10 +193,9 @@ struct RunStats {
   Index hbus_reads = 0, hbus_writes = 0;
   Index vbus_reads = 0, vbus_writes = 0;
   std::int64_t hbus_bytes = 0, vbus_bytes = 0;
-  /// Time the retirement path spent inside the special-row flush hook: the
-  /// synchronous write cost, or the copy + backpressure cost when the flush
-  /// pipeline is asynchronous (core/stage1.cpp) — the compute-side I/O stall
-  /// either way.
+  /// Time the retirement path spent inside the special-row flush hook: for
+  /// Stage 1, the row copy into the SRA writer's queue plus backpressure
+  /// (core/stage1.cpp) — the compute-side I/O stall.
   double special_row_wait_seconds = 0;
   double seconds = 0;
   /// Tiles/cells per kernel variant (pruned tiles are not attributed).

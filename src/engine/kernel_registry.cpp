@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <string>
@@ -131,24 +130,21 @@ void set_kernel_override(std::string_view name) {
   g_override = v;
 }
 
-const KernelVariant* kernel_override() noexcept {
+const KernelVariant* kernel_override() {
   std::lock_guard lock(g_override_mutex);
   if (!g_override_initialized) {
-    g_override_initialized = true;
     if (const char* env = std::getenv("CUDALIGN_KERNEL"); env != nullptr && *env != '\0') {
-      g_override = find_kernel(env);
-      if (g_override == nullptr) {
-        // Fail fast with an actionable message. A misspelled CUDALIGN_KERNEL
-        // must never silently fall back to automatic selection (the run would
-        // quietly measure the wrong kernel), and this accessor is noexcept on
-        // worker threads, so a clean exit beats a mid-run throw.
-        std::fprintf(stderr,
-                     "cudalign: unknown kernel name in CUDALIGN_KERNEL: \"%s\"\n"
-                     "valid names: %s\n",
-                     env, kernel_names_list().c_str());
-        std::exit(2);
+      // A misspelled CUDALIGN_KERNEL must never silently fall back to
+      // automatic selection (the run would quietly measure the wrong
+      // kernel). The state stays uninitialized, so every call throws.
+      const KernelVariant* v = find_kernel(env);
+      if (v == nullptr) {
+        throw Error("unknown kernel name in CUDALIGN_KERNEL: \"" + std::string(env) +
+                    "\"\nvalid names: " + kernel_names_list());
       }
+      g_override = v;
     }
+    g_override_initialized = true;
   }
   return g_override;
 }

@@ -64,17 +64,17 @@ void set_kernel_override(std::string_view name);
 
 /// The active process-wide override, or nullptr (reflects CUDALIGN_KERNEL on
 /// first use unless set_kernel_override was called). An *unknown* name in
-/// CUDALIGN_KERNEL terminates the process with exit code 2 at first use,
-/// printing the valid names — a misspelled pin must never silently fall back
-/// to automatic selection (the run would silently measure the wrong kernel).
-[[nodiscard]] const KernelVariant* kernel_override() noexcept;
+/// CUDALIGN_KERNEL throws Error naming the valid names, on every call — a
+/// misspelled pin must never silently fall back to automatic selection (the
+/// run would silently measure the wrong kernel).
+[[nodiscard]] const KernelVariant* kernel_override();
 
 /// Comma-separated list of every registered kernel name (for error messages
 /// and --help output).
 [[nodiscard]] std::string kernel_names_list();
 
 /// Test hook: drops the cached override state and re-reads CUDALIGN_KERNEL as
-/// if the process had just started (including the unknown-name fail-fast).
+/// if the process had just started (throwing on an unknown name).
 void reload_kernel_override_from_env();
 
 /// SIMD instruction sets the striped kernels can dispatch to. kGeneric is the
@@ -86,9 +86,9 @@ enum class SimdIsa : std::uint8_t { kGeneric, kSse2, kAvx2, kAvx512 };
 
 /// The ISA the striped kernels currently dispatch to: the best available one,
 /// unless CUDALIGN_SIMD (auto / generic / sse2 / avx2 / avx512) or
-/// set_simd_isa_override() forces a baseline. An unknown CUDALIGN_SIMD value
-/// terminates the process with exit code 2 at first use, like CUDALIGN_KERNEL.
-[[nodiscard]] SimdIsa active_simd_isa() noexcept;
+/// set_simd_isa_override() forces a baseline. An unknown or unsupported
+/// CUDALIGN_SIMD value throws Error on every call, like CUDALIGN_KERNEL.
+[[nodiscard]] SimdIsa active_simd_isa();
 
 /// Forces the striped kernels onto `isa` ("auto" via clear_simd_isa_override).
 /// Throws Error if the ISA is not compiled in / not supported by this CPU.
@@ -100,7 +100,7 @@ void clear_simd_isa_override() noexcept;
 [[nodiscard]] std::string_view simd_isa_name(SimdIsa isa) noexcept;
 
 /// Test hook: drops the cached ISA state and re-reads CUDALIGN_SIMD as if the
-/// process had just started (including the unknown-value fail-fast).
+/// process had just started (throwing on an unknown value).
 void reload_simd_isa_from_env();
 
 }  // namespace cudalign::engine

@@ -13,11 +13,11 @@
 // uses the classic bias trick: flip the sign bit, take the *unsigned* max,
 // flip back — xor with 0x80 is an order-isomorphism from signed to unsigned.
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <string>
 #include <string_view>
 
 #if defined(__SSE2__)
@@ -173,15 +173,17 @@ bool g_isa_env_loaded CUDALIGN_GUARDED_BY(g_isa_mutex) = false;
 bool g_isa_forced CUDALIGN_GUARDED_BY(g_isa_mutex) = false;
 SimdIsa g_isa CUDALIGN_GUARDED_BY(g_isa_mutex) = SimdIsa::kGeneric;
 
-/// Parses CUDALIGN_SIMD once (under g_isa_mutex). Unknown or unsupported
-/// values fail fast: a forced baseline that silently ran AVX2 anyway would
-/// invalidate exactly the comparisons the override exists for.
+/// Parses CUDALIGN_SIMD (under g_isa_mutex). Unknown or unsupported values
+/// throw and leave the environment unloaded, so every later call throws too:
+/// a forced baseline that silently ran AVX2 anyway would invalidate exactly
+/// the comparisons the override exists for.
 void load_isa_env_locked() CUDALIGN_REQUIRES(g_isa_mutex) {
-  g_isa_env_loaded = true;
   const char* env = std::getenv("CUDALIGN_SIMD");
-  if (env == nullptr || *env == '\0') return;
-  const std::string_view value(env);
-  if (value == "auto") return;
+  const std::string_view value = env != nullptr ? env : "";
+  if (value.empty() || value == "auto") {
+    g_isa_env_loaded = true;
+    return;
+  }
   SimdIsa isa = SimdIsa::kGeneric;
   if (value == "generic") {
     isa = SimdIsa::kGeneric;
@@ -192,23 +194,20 @@ void load_isa_env_locked() CUDALIGN_REQUIRES(g_isa_mutex) {
   } else if (value == "avx512") {
     isa = SimdIsa::kAvx512;
   } else {
-    std::fprintf(stderr,
-                 "cudalign: unknown SIMD ISA in CUDALIGN_SIMD: \"%s\"\n"
-                 "valid values: auto, generic, sse2, avx2, avx512\n",
-                 env);
-    std::exit(2);
+    throw Error("unknown SIMD ISA in CUDALIGN_SIMD: \"" + std::string(value) +
+                "\"\nvalid values: auto, generic, sse2, avx2, avx512");
   }
   if (!isa_supported(isa)) {
-    std::fprintf(stderr, "cudalign: CUDALIGN_SIMD=%s is not available in this build/CPU\n", env);
-    std::exit(2);
+    throw Error("CUDALIGN_SIMD=" + std::string(value) + " is not available in this build/CPU");
   }
+  g_isa_env_loaded = true;
   g_isa_forced = true;
   g_isa = isa;
 }
 
 }  // namespace
 
-SimdIsa active_simd_isa() noexcept {
+SimdIsa active_simd_isa() {
   std::lock_guard lock(g_isa_mutex);
   if (!g_isa_env_loaded) load_isa_env_locked();
   return g_isa_forced ? g_isa : best_isa();
@@ -231,6 +230,7 @@ void clear_simd_isa_override() noexcept {
 
 void reload_simd_isa_from_env() {
   std::lock_guard lock(g_isa_mutex);
+  g_isa_env_loaded = false;
   g_isa_forced = false;
   load_isa_env_locked();
 }

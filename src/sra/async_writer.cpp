@@ -38,11 +38,7 @@ void AsyncSraWriter::submit(const RowKey& key, std::span<const engine::BusCell> 
   lock.unlock();
   row.cells.assign(cells.begin(), cells.end());
   lock.lock();
-  if (failure_ == nullptr && queue_.size() >= capacity_) {
-    Timer wait;
-    space_cv_.wait(lock, [&] { return failure_ != nullptr || queue_.size() < capacity_; });
-    stats_.submit_wait_seconds += wait.seconds();
-  }
+  space_cv_.wait(lock, [&] { return failure_ != nullptr || queue_.size() < capacity_; });
   ++stats_.rows_submitted;
   if (failure_ != nullptr) {
     // Poisoned: drop the row — nothing may be written past a failed one, and

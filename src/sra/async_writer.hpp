@@ -1,5 +1,5 @@
-// Asynchronous special-row flush pipeline (ROADMAP "Stage-1 I/O overlap",
-// DESIGN.md section of the same name): a dedicated writer thread drains a
+// Stage-1 special-row flush pipeline (DESIGN.md "Stage-1 I/O overlap"), the
+// only way Stage 1 writes a special row: a dedicated writer thread drains a
 // bounded queue of staged row buffers so the executor's strip retirement
 // hands a row off and returns to compute immediately, instead of paying the
 // CRC'd write (+ fsync + manifest rewrite in durable mode) on the critical
@@ -13,10 +13,9 @@
 // row — i.e. after the CRC'd write completes (and, in durable mode, after
 // the write-fsync-rename-fsync protocol). Rows are written in submission
 // (= ascending flush-row) order by the single writer, so the on-disk store
-// and manifest sequence are byte-identical to the synchronous path, and
-// kill-and-resume semantics are unchanged: a crash between a row's put() and
-// its manifest save leaves an orphan row beyond the checkpoint cursor, which
-// the resume reconciliation already sweeps.
+// and manifest sequence follow row order, and a crash between a row's put()
+// and its manifest save leaves an orphan row beyond the checkpoint cursor,
+// which the resume reconciliation sweeps.
 //
 // Ownership protocol (phase-based, not lock-based): between construction and
 // drain() the writer thread is the sole owner of the SpecialRowsArea and of
@@ -29,9 +28,10 @@
 //
 // Backpressure: the queue holds at most `queue_capacity` staged rows
 // (triple-buffered by default — one in flight, two staged). A submit against
-// a full queue blocks until the writer retires a row; that wait is the
-// compute-side stall the stats expose. Retired buffers are recycled through
-// a free list, so steady state performs no per-row allocation.
+// a full queue blocks until the writer retires a row; the executor's
+// special_row_wait_seconds times that stall along with the copy. Retired
+// buffers are recycled through a free list, so steady state performs no
+// per-row allocation.
 //
 // Failure: a writer-thread exception (disk full, fault injection) poisons
 // the queue — no later row is written past a failed one, preserving the
@@ -59,7 +59,6 @@ struct AsyncWriterStats {
   Index rows_submitted = 0;  ///< Rows handed to the writer.
   Index rows_acked = 0;      ///< Rows durably written and acknowledged.
   std::size_t queue_peak = 0;        ///< High-water staged rows in the queue.
-  double submit_wait_seconds = 0;    ///< Compute-side backpressure stalls.
   double writer_busy_seconds = 0;    ///< Writer-thread time in put() + ack.
 };
 

@@ -505,18 +505,31 @@ TEST(StripedIsa, CrossExecutorSpecialRowsIdenticalWithStripedPinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Environment overrides fail fast on unknown names (exit code 2, actionable
-// message) instead of silently falling back to automatic selection.
+// Environment overrides reject unknown names with an actionable Error on
+// every call, instead of silently falling back to automatic selection.
 // ---------------------------------------------------------------------------
 
-TEST(KernelOverrideDeathTest, UnknownEnvKernelNameFailsFastWithExitCode2) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+/// The message of the Error `call` throws ("" if it returns).
+template <typename Call>
+std::string error_of(Call&& call) {
+  try {
+    call();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(KernelOverrideEnv, UnknownKernelNameThrowsOnEveryCall) {
   setenv("CUDALIGN_KERNEL", "no-such-kernel", 1);
-  EXPECT_EXIT(engine::reload_kernel_override_from_env(), ::testing::ExitedWithCode(2),
-              "unknown kernel name in CUDALIGN_KERNEL.*no-such-kernel");
+  const std::string what = error_of([] { engine::reload_kernel_override_from_env(); });
+  EXPECT_TRUE(std::regex_search(what, std::regex("unknown kernel name in CUDALIGN_KERNEL.*"
+                                                 "no-such-kernel")))
+      << what;
   // The message is actionable: it lists every valid kernel name.
-  EXPECT_EXIT(engine::reload_kernel_override_from_env(), ::testing::ExitedWithCode(2),
-              "valid names: legacy.*striped16-local");
+  EXPECT_TRUE(std::regex_search(what, std::regex("valid names: legacy.*striped16-local"))) << what;
+  // Not cached as "no pin": the next lookup throws the same error.
+  EXPECT_EQ(error_of([] { (void)engine::kernel_override(); }), what);
   unsetenv("CUDALIGN_KERNEL");
   engine::reload_kernel_override_from_env();  // Restore the no-override state.
 }
@@ -530,13 +543,38 @@ TEST(KernelOverrideDeathTest, KnownEnvKernelNameIsAdopted) {
   EXPECT_EQ(engine::kernel_override(), nullptr);
 }
 
-TEST(KernelOverrideDeathTest, UnknownEnvSimdIsaFailsFastWithExitCode2) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST(KernelOverrideEnv, UnknownSimdIsaThrowsOnEveryCall) {
   setenv("CUDALIGN_SIMD", "sse9", 1);
-  EXPECT_EXIT(engine::reload_simd_isa_from_env(), ::testing::ExitedWithCode(2),
-              "unknown SIMD ISA in CUDALIGN_SIMD.*sse9");
+  const std::string what = error_of([] { engine::reload_simd_isa_from_env(); });
+  EXPECT_TRUE(std::regex_search(what, std::regex("unknown SIMD ISA in CUDALIGN_SIMD.*sse9")))
+      << what;
+  EXPECT_EQ(error_of([] { (void)engine::active_simd_isa(); }), what);
   unsetenv("CUDALIGN_SIMD");
   engine::reload_simd_isa_from_env();
+}
+
+TEST(KernelOverrideEnv, BadKernelEnvFailsRunOnCallerAndPoolStaysUsable) {
+  const auto a = rand_seq(150, 4711);
+  const auto b = rand_seq(170, 4712);
+  engine::ProblemSpec spec;
+  spec.a = a.bases();
+  spec.b = b.bases();
+  spec.grid = engine::GridSpec{3, 8, 4, 1};
+  spec.recurrence = Recurrence::local(paper());
+  const engine::RunResult expected = engine::run_reference(spec, engine::Hooks{});
+  ThreadPool pool(4);
+
+  setenv("CUDALIGN_KERNEL", "no-such-kernel", 1);
+  EXPECT_THROW(engine::reload_kernel_override_from_env(), Error);
+  EXPECT_THROW((void)engine::run_wavefront(spec, engine::Hooks{}, &pool), Error);
+  unsetenv("CUDALIGN_KERNEL");
+  engine::reload_kernel_override_from_env();
+
+  const engine::RunResult run = engine::run_wavefront(spec, engine::Hooks{}, &pool);
+  EXPECT_EQ(run.best.score, expected.best.score);
+  EXPECT_EQ(run.best.i, expected.best.i);
+  EXPECT_EQ(run.best.j, expected.best.j);
+  EXPECT_EQ(run.stats.cells, expected.stats.cells);
 }
 
 TEST(KernelDispatch, GlobalModeUsesSpecializedScalarSweep) {

@@ -277,41 +277,62 @@ TEST(Pipeline, DeterministicAcrossRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Asynchronous SRA flush pipeline: the async writer must be invisible in the
-// output — byte-identical alignments against the synchronous reference path,
-// with the executor inline (one worker) or on a pool — while its accounting
-// proves the hand-off happened.
+// Stage-1 flush pipeline: the SRA writer thread is the only way special rows
+// reach disk. The store it leaves must hold exactly the rows the row-sweep
+// reference hands its flush hook — with the executor inline (one worker) or
+// on a pool — while the writer's accounting proves the hand-off happened.
 // ---------------------------------------------------------------------------
 
-TEST(PipelineAsyncFlush, ByteIdenticalToSyncAcrossExecutors) {
+TEST(PipelineAsyncFlush, StoreMatchesReferenceRowsAcrossPools) {
   const auto pair = seq::make_related_pair(500, 480, 9090);
+  const Index m = static_cast<Index>(pair.s0.size());
+  const Index n = static_cast<Index>(pair.s1.size());
+  const std::int64_t budget = 1 << 20;
+  Stage1Config config;
+  config.grid = tiny_grid(3, 4, 2);
+  const Index interval = sra::flush_interval_for_budget(m, n, config.grid.strip_rows(), budget);
+
+  engine::ProblemSpec spec;
+  spec.a = pair.s0.bases();
+  spec.b = pair.s1.bases();
+  spec.recurrence = engine::Recurrence::local(config.scheme);
+  spec.grid = config.grid;
+  engine::Hooks hooks;
+  hooks.special_row_interval = interval;
+  std::vector<std::pair<Index, std::vector<engine::BusCell>>> expected;
+  hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,
+                             const dp::LocalBest&) {
+    expected.emplace_back(row, std::vector<engine::BusCell>(cells.begin(), cells.end()));
+  };
+  const engine::RunResult reference = engine::run_reference(spec, hooks);
+  ASSERT_GT(expected.size(), 1u);
+
   for (const std::size_t workers : {1, 4}) {
-    PipelineOptions options = small_options();
+    SCOPED_TRACE(workers);
+    TempDir dir;
+    sra::SpecialRowsArea area(dir.path(), budget);
     ThreadPool pool(workers);
-    options.pool = &pool;
+    config.rows_area = &area;
+    config.pool = &pool;
+    const Stage1Result st1 = run_stage1(pair.s0.bases(), pair.s1.bases(), config);
 
-    options.sra_async = false;
-    const PipelineResult sync_run = align_pipeline(pair.s0, pair.s1, options);
-    options.sra_async = true;
-    const PipelineResult async_run = align_pipeline(pair.s0, pair.s1, options);
+    EXPECT_EQ(st1.end_point.score, reference.best.score);
+    EXPECT_EQ(st1.flush_interval, interval);
+    const std::vector<std::size_t> stored = area.group_members(config.group);
+    ASSERT_EQ(stored.size(), expected.size());
+    for (std::size_t k = 0; k < stored.size(); ++k) {
+      const sra::RowKey& key = area.key(stored[k]);
+      EXPECT_EQ(key.position, expected[k].first);
+      EXPECT_EQ(key.begin, 0);
+      EXPECT_EQ(key.end, n);
+      EXPECT_TRUE(area.get(stored[k]) == expected[k].second) << "row " << key.position;
+    }
 
-    EXPECT_EQ(async_run.best_score, sync_run.best_score);
-    EXPECT_EQ(async_run.end_point, sync_run.end_point);
-    EXPECT_EQ(async_run.start_point, sync_run.start_point);
-    EXPECT_TRUE(async_run.alignment.transcript == sync_run.alignment.transcript);
-    EXPECT_EQ(async_run.binary, sync_run.binary);
-    EXPECT_EQ(async_run.special_rows_saved, sync_run.special_rows_saved);
-    EXPECT_EQ(async_run.crosspoint_counts, sync_run.crosspoint_counts);
-
-    // Accounting: every flushed row was durably acked, and the async run
-    // actually staged rows through the bounded queue.
-    const StageStats& sync_s1 = sync_run.stages[0];
-    const StageStats& async_s1 = async_run.stages[0];
-    EXPECT_EQ(sync_s1.sra_rows_acked, sync_run.special_rows_saved);
-    EXPECT_EQ(async_s1.sra_rows_acked, async_run.special_rows_saved);
-    EXPECT_EQ(sync_s1.sra_flush_queue_peak, 0u);
-    EXPECT_GE(async_s1.sra_flush_queue_peak, 1u);
-    EXPECT_GT(async_run.special_rows_saved, 0);
+    // Accounting: every flushed row was durably acked, and the rows were
+    // actually staged through the writer's bounded queue.
+    EXPECT_EQ(st1.special_rows_saved, static_cast<Index>(expected.size()));
+    EXPECT_EQ(st1.stats.sra_rows_acked, st1.special_rows_saved);
+    EXPECT_GE(st1.stats.sra_flush_queue_peak, 1u);
   }
 }
 
@@ -324,7 +345,6 @@ TEST(PipelineAsyncFlush, StealHeavyDataflowWithAsyncWriter) {
   options.grid_stage1 = tiny_grid(2, 4, 2);
   ThreadPool pool(8);
   options.pool = &pool;
-  options.sra_async = true;
 
   const PipelineResult result = align_pipeline(pair.s0, pair.s1, options);
   const auto reference =

@@ -4,8 +4,10 @@
 
 #include <chrono>
 #include <thread>
+#include <type_traits>
 
 #include "common/io_util.hpp"
+#include "engine/grid.hpp"
 #include "sra/async_writer.hpp"
 #include "sra/sra.hpp"
 
@@ -33,6 +35,40 @@ TEST(FlushInterval, PaperFormula) {
 
 TEST(FlushInterval, RequiresOneRowMinimum) {
   EXPECT_THROW((void)flush_interval_for_budget(1000, 1000, 100, 100), Error);
+}
+
+TEST(FlushInterval, PaperScaleArithmetic) {
+  // The paper's largest comparison (32,799,845 x 46,944,323 bp) on the
+  // default Stage-1 grid with 10 GB and 50 GB SRAs (`--sra 10G` / `50G`):
+  // row size, flush interval and the bytes the executor's special-strip rule
+  // would flush, in 64-bit arithmetic only — no DP and no row allocation.
+  static_assert(std::is_same_v<Index, std::int64_t>);
+  const Index m = 32799845;
+  const Index n = 46944323;
+  const Index strip_rows = engine::GridSpec::stage1_defaults().strip_rows();
+  ASSERT_EQ(strip_rows, 256);
+  const std::int64_t row_bytes = 8 * (n + 1);
+  ASSERT_EQ(row_bytes, 375554592);
+  const std::int64_t strips = (m + strip_rows - 1) / strip_rows;
+  ASSERT_EQ(strips, 128125);
+  for (const std::int64_t budget : {std::int64_t{10} << 30, std::int64_t{50} << 30}) {
+    SCOPED_TRACE(budget);
+    const std::int64_t max_rows = budget / row_bytes;
+    const Index interval = flush_interval_for_budget(m, n, strip_rows, budget);
+    EXPECT_EQ(interval, (strips + max_rows - 1) / max_rows);
+    // engine/executor.cpp flushes the bottom row of global strip g when
+    // (g + 1) % interval == 0 and that row lies inside the matrix.
+    std::int64_t flushed = 0;
+    for (std::int64_t g = 0; g < strips; ++g) {
+      if ((g + 1) % interval == 0 && (g + 1) * strip_rows < m) ++flushed;
+    }
+    EXPECT_GT(flushed, 0);
+    EXPECT_LE(flushed * row_bytes, budget);
+  }
+  // 10 GB holds 28 rows -> every 4576th strip (27 rows flushed); 50 GB holds
+  // 142 rows -> every 903rd strip (141 rows flushed).
+  EXPECT_EQ(flush_interval_for_budget(m, n, strip_rows, std::int64_t{10} << 30), 4576);
+  EXPECT_EQ(flush_interval_for_budget(m, n, strip_rows, std::int64_t{50} << 30), 903);
 }
 
 TEST(Sra, PutGetRoundTrip) {
@@ -345,7 +381,7 @@ TEST(AsyncWriter, WritesRowsDurablyInSubmissionOrder) {
 TEST(AsyncWriter, SubmitCopiesBeforeReturnAndMatchesSynchronousStore) {
   // submit() copies while the engine still owns the row buffer, which the
   // engine reuses the moment the flush hook returns. The stored bytes must
-  // match the synchronous put() path exactly.
+  // match a direct put() of the same row exactly.
   TempDir dir;
   SpecialRowsArea sync_area(dir.path() / "sync", 1 << 20);
   SpecialRowsArea async_area(dir.path() / "async", 1 << 20);

@@ -35,7 +35,7 @@ int usage() {
            [--max-partition N] [--match N] [--mismatch N] [--gap-first N]
            [--gap-ext N] [--no-stage3] [--stats] [--prune] [--both-strands]
            [--cigar FILE] [--kernel NAME] [--audit-bus] [--report FILE]
-           [--progress] [--checkpoint-dir DIR] [--resume] [--sra-async on|off]
+           [--progress] [--checkpoint-dir DIR] [--resume]
   cudalign score A.fasta B.fasta [--match N] [--mismatch N] [--gap-first N]
            [--gap-ext N] [--kernel NAME] [--audit-bus]
 
@@ -43,15 +43,10 @@ int usage() {
 v32-local+best, striped8-local+best, striped16-local+best; equivalent to
 CUDALIGN_KERNEL); tiles outside the variant's envelope fall back to
 automatic selection, so scores are unaffected. The striped kernels pick
-their SIMD backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2 forces
-one (unknown or unsupported values fail fast with exit code 2).
+their SIMD backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2|avx512
+forces one (unknown or unsupported values fail fast with exit code 2).
 --audit-bus verifies every wavefront bus hand-off against the grid model's
 happens-before relation (check/bus_audit.hpp) and fails the run on violation.
---sra-async (default on) overlaps Stage-1 special-row flushes with tile
-compute on a dedicated SRA writer thread; the checkpoint cursor still
-advances only after each row's durable write, so results — including
-kill-and-resume — are byte-identical to --sra-async=off, the synchronous
-reference path.
   cudalign view ALN.bin A.fasta B.fasta [--text FILE] [--tsv FILE] [--plot]
   cudalign generate OUT.fasta --length N [--seed N] [--mutate-of FILE]
            [--substitution R] [--indel R]
@@ -71,6 +66,19 @@ Byte sizes accept K/M/G suffixes (e.g. --sra 2G).
   return 2;
 }
 
+/// A bad CUDALIGN_KERNEL / CUDALIGN_SIMD is a usage error: report it and exit
+/// 2, like usage(), before any input is read.
+bool kernel_env_ok() {
+  try {
+    (void)engine::kernel_override();
+    (void)engine::active_simd_isa();
+    return true;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "cudalign: %s\n", e.what());
+    return false;
+  }
+}
+
 scoring::Scheme scheme_from(const common::Args& args) {
   scoring::Scheme s = scoring::Scheme::paper_defaults();
   s.match = static_cast<Score>(args.num("match", s.match));
@@ -84,10 +92,10 @@ scoring::Scheme scheme_from(const common::Args& args) {
 int cmd_align(const common::Args& args) {
   args.check_known({"out", "sra", "workdir", "max-partition", "match", "mismatch", "gap-first",
                     "gap-ext", "no-stage3", "stats", "prune", "both-strands", "cigar",
-                    "kernel", "audit-bus", "report", "progress", "checkpoint-dir", "resume",
-                    "sra-async"});
+                    "kernel", "audit-bus", "report", "progress", "checkpoint-dir", "resume"});
   if (args.positional().size() != 2) return usage();
   if (args.has("kernel")) engine::set_kernel_override(args.str("kernel"));
+  if (!kernel_env_ok()) return 2;
   const auto s0 = seq::read_single_fasta(args.positional()[0]);
   const auto s1 = seq::read_single_fasta(args.positional()[1]);
   std::printf("aligning %s (%s BP) x %s (%s BP)\n", s0.name().c_str(),
@@ -101,12 +109,6 @@ int cmd_align(const common::Args& args) {
   options.max_partition_size = args.num("max-partition", 16);
   options.save_special_columns = !args.has("no-stage3");
   options.block_pruning = args.has("prune");
-  if (args.has("sra-async")) {
-    const std::string mode = args.str("sra-async");
-    CUDALIGN_CHECK(mode == "on" || mode == "off", "--sra-async expects on or off, got '", mode,
-                   "'");
-    options.sra_async = mode == "on";
-  }
   if (args.has("workdir")) options.workdir = args.str("workdir");
   if (args.has("checkpoint-dir")) options.checkpoint_dir = args.str("checkpoint-dir");
   options.resume = args.has("resume");
@@ -224,6 +226,7 @@ int cmd_score(const common::Args& args) {
   args.check_known({"match", "mismatch", "gap-first", "gap-ext", "kernel", "audit-bus"});
   if (args.positional().size() != 2) return usage();
   if (args.has("kernel")) engine::set_kernel_override(args.str("kernel"));
+  if (!kernel_env_ok()) return 2;
   const auto s0 = seq::read_single_fasta(args.positional()[0]);
   const auto s1 = seq::read_single_fasta(args.positional()[1]);
   core::Stage1Config config;
