@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/args.hpp"
+#include "common/crc32.hpp"
 #include "common/format.hpp"
 #include "common/io_util.hpp"
 #include "common/rng.hpp"
@@ -214,6 +217,41 @@ TEST(Types, NegInfDetection) {
   EXPECT_TRUE(is_neg_inf(kNegInf + 100));
   EXPECT_FALSE(is_neg_inf(0));
   EXPECT_FALSE(is_neg_inf(-1000000));
+}
+
+/// Byte-at-a-time CRC-32 (the textbook reflected loop, no tables): the
+/// reference the slice-by-8 implementation must match bit for bit.
+std::uint32_t crc32_bytewise(std::uint32_t crc, const unsigned char* data, std::size_t size) {
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(common::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(common::crc32(""), 0u);
+  EXPECT_EQ(common::crc32("The quick brown fox jumps over the lazy dog"), 0x414FA339u);
+}
+
+TEST(Crc32, MatchesBytewiseOverRandomLengthsAndAlignments) {
+  Rng rng(2024);
+  std::vector<unsigned char> buffer(4096 + 16);
+  for (auto& byte : buffer) byte = static_cast<unsigned char>(rng.next());
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t offset = rng.below(16);
+    const std::size_t length = trial < 64 ? static_cast<std::size_t>(trial) : rng.below(4097);
+    const unsigned char* data = buffer.data() + offset;
+    const std::uint32_t expected = crc32_bytewise(0, data, length);
+    ASSERT_EQ(common::crc32(data, length), expected) << "offset " << offset << " length " << length;
+    // Any split into two incremental updates gives the one-shot value.
+    const std::size_t split = length == 0 ? 0 : rng.below(length + 1);
+    const std::uint32_t head = common::crc32_update(0, data, split);
+    ASSERT_EQ(common::crc32_update(head, data + split, length - split), expected)
+        << "offset " << offset << " length " << length << " split " << split;
+  }
 }
 
 /// Builds Args from a single `--flag=value` style token.
