@@ -6,8 +6,8 @@
 //
 // Before handing over to google-benchmark, main() runs a self-timed sweep of
 // the kernel registry — every variant on every tile archetype it can run,
-// plus a 4 KBP x 4 KBP Stage-1 engine run per dispatch mode — and writes the
-// results to BENCH_kernels.json (override the path with CUDALIGN_BENCH_JSON;
+// plus a Stage-1 chunk-width sweep and a 4 KBP x 4 KBP Stage-1 engine run per
+// dispatch mode — and writes the results to BENCH_kernels.json (override the path with CUDALIGN_BENCH_JSON;
 // set it to "off" to skip the sweep).
 #include <benchmark/benchmark.h>
 
@@ -68,6 +68,12 @@ constexpr TileArchetype kArchetypes[] = {
 /// fits the 8-bit striped envelope — the shape where the byte-lane kernels
 /// are admissible.
 constexpr std::pair<Index, Index> kTileShapes[] = {{256, 512}, {64, 512}};
+
+/// Stage-1 chunk widths swept on a 256-row strip: 217 is a 52K-column row
+/// cut into the paper's 240 blocks, 2048 is fit_to_width's CPU chunk target
+/// (engine::kCpuChunkColumns), and 32768 stands in for the ~195K-column
+/// chunks of a paper-scale row, far past every cache level but L3.
+constexpr Index kChunkWidths[] = {217, 512, 1024, 2048, 4096, 8192, 32768};
 
 /// Owns one tile problem (Stage-1-shaped by default) with pristine buses; the
 /// timed loop restores the buses each iteration so inputs never drift (the
@@ -210,6 +216,23 @@ void run_kernel_sweep(const std::string& path) {
     }
   }
 
+  // Chunk-width sweep: the kernel the executor auto-selects for a Stage-1
+  // tile (local+best), single-threaded, as the tile widens.
+  std::vector<VariantSample> width_samples;
+  for (const Index cols : kChunkWidths) {
+    TileBench bench(kArchetypes[0], 256, cols);
+    const engine::KernelVariant& variant = engine::select_kernel(bench.job());
+    VariantSample s;
+    s.archetype = kArchetypes[0].name;
+    s.kernel = variant.name;
+    s.rows = 256;
+    s.cols = cols;
+    s.gcups = time_variant_gcups(variant, bench);
+    width_samples.push_back(s);
+    std::fprintf(stderr, "[chunk-width] 256x%-5ld %-24s %7.3f GCUPS\n", long(cols),
+                 s.kernel.c_str(), s.gcups);
+  }
+
   const Index n = 4096;
   std::vector<EngineSample> engine_samples;
   for (const std::string& kernel : {std::string("legacy"), std::string("")}) {
@@ -227,13 +250,18 @@ void run_kernel_sweep(const std::string& path) {
     std::fprintf(stderr, "[kernel-sweep] cannot write %s\n", path.c_str());
     return;
   }
+  const auto write_samples = [&out](const std::vector<VariantSample>& samples) {
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const VariantSample& s = samples[i];
+      out << "    {\"job\": \"" << json_escape(s.archetype) << "\", \"kernel\": \""
+          << json_escape(s.kernel) << "\", \"rows\": " << s.rows << ", \"cols\": " << s.cols
+          << ", \"gcups\": " << s.gcups << "}" << (i + 1 < samples.size() ? "," : "") << "\n";
+    }
+  };
   out << "{\n  \"variants\": [\n";
-  for (std::size_t i = 0; i < tile_samples.size(); ++i) {
-    const VariantSample& s = tile_samples[i];
-    out << "    {\"job\": \"" << json_escape(s.archetype) << "\", \"kernel\": \""
-        << json_escape(s.kernel) << "\", \"rows\": " << s.rows << ", \"cols\": " << s.cols
-        << ", \"gcups\": " << s.gcups << "}" << (i + 1 < tile_samples.size() ? "," : "") << "\n";
-  }
+  write_samples(tile_samples);
+  out << "  ],\n  \"chunk_width\": [\n";
+  write_samples(width_samples);
   out << "  ],\n  \"stage1\": {\"n\": " << n << ", \"runs\": [\n";
   for (std::size_t i = 0; i < engine_samples.size(); ++i) {
     const EngineSample& s = engine_samples[i];

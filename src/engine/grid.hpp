@@ -4,13 +4,25 @@
 // row strips of height alpha*T (each CUDA block runs T threads, each thread
 // owns alpha rows) by B column chunks. Blocks on the same *external diagonal*
 // are independent; the horizontal bus carries (H, F) across strip boundaries
-// and the vertical bus carries (H, E) across chunk boundaries. The paper's
-// *minimum size requirement* demands the problem be at least 2*B*T columns
-// wide so same-diagonal blocks never touch the same bus region; when a
-// sub-problem is too narrow the number of blocks is reduced at runtime
-// (paper §V: "The number of blocks may be reduced during runtime in order to
-// satisfy the minimum size requirement in each stage"), preferably to a
-// multiple of the multiprocessor count.
+// and the vertical bus carries (H, E) across chunk boundaries.
+//
+// `fit_to_width` picks the block count of a problem from two rules:
+//  1. CPU chunk target. The paper sized B for the GTX 285's 30 SMs; on a CPU
+//     a column chunk is one tile kernel call, and the striped kernel only
+//     reaches its speed on wide tiles (about half speed at 217 columns, flat
+//     from ~1700 to ~3300 columns, slower again past ~6500; EXPERIMENTS.md
+//     "Stage-1 chunk width"). So B is at most width / 2048, never below 8.
+//     The spec's B (240 in Stage 1) is now the cap, reached only at paper
+//     scale (>= 491,520 columns).
+//  2. The paper's *minimum size requirement*: the problem must be at least
+//     2*B*T columns wide so same-diagonal blocks never touch the same bus
+//     region; when a sub-problem is too narrow the number of blocks is reduced
+//     at runtime (paper §V: "The number of blocks may be reduced during runtime
+//     in order to satisfy the minimum size requirement in each stage"),
+//     preferably to a multiple of the multiprocessor count.
+// The result depends on the spec and the width only, never on the thread
+// pool, so tile shapes, run reports and checkpoints are the same for every
+// worker count.
 #pragma once
 
 #include "common/error.hpp"
@@ -37,17 +49,26 @@ struct GridSpec {
     CUDALIGN_CHECK(multiprocessors > 0, "multiprocessor count must be positive");
   }
 
-  /// The configuration used for the GTX 285 in the paper's Stage 1
-  /// (alpha = 4, B1 = 240, T1 = 2^6).
+  /// The paper's GTX 285 Stage-1 configuration (alpha = 4, B1 = 240,
+  /// T1 = 2^6). B1 = 240 is the cap: `fit_to_width`'s CPU chunk target sets
+  /// B below it for any problem narrower than 240 * 2048 columns.
   static constexpr GridSpec stage1_defaults() noexcept { return GridSpec{240, 64, 4, 30}; }
   /// Stage 2/3 configuration (B = 60, T = 2^7).
   static constexpr GridSpec stage23_defaults() noexcept { return GridSpec{60, 128, 4, 30}; }
 };
 
-/// Shrinks `spec.blocks` until the minimum size requirement holds for a
-/// problem `width` columns wide, preferring multiples of the multiprocessor
-/// count (paper §V). Never returns fewer than 1 block; a width of zero is
-/// accepted (degenerate problems run on one block).
+/// Target column-chunk width of the CPU tile kernels (a 2048-column chunk's
+/// horizontal-bus segment is 16 KB of 8-byte `BusCell`s, inside L1d).
+inline constexpr Index kCpuChunkColumns = 2048;
+/// The chunk target never cuts the grid below this many blocks, so small
+/// problems and small test grids keep their block counts.
+inline constexpr Index kMinCpuBlocks = 8;
+
+/// Caps `spec.blocks` at max(kMinCpuBlocks, width / kCpuChunkColumns), then
+/// shrinks it until the minimum size requirement holds for a problem `width`
+/// columns wide, preferring multiples of the multiprocessor count (paper §V).
+/// Never returns fewer than 1 block; a width of zero is accepted (degenerate
+/// problems run on one block).
 [[nodiscard]] GridSpec fit_to_width(GridSpec spec, Index width);
 
 }  // namespace cudalign::engine

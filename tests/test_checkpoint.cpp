@@ -216,6 +216,59 @@ TEST(CheckpointResume, KilledAfterThirdSaveMatchesUninterrupted) {
   expect_resume_equivalence(3);
 }
 
+TEST(CheckpointResume, ManifestRecordsTheSpecGridNotTheFittedChunking) {
+  // A checkpoint records the grid options, not the block count fit_to_width
+  // derives from them, so a checkpoint written under an older chunking rule
+  // records the same {240, 64, 4, 30} as today's default and still resumes.
+  const auto pair = seq::make_related_pair(300, 290, 4242);
+  PipelineOptions options = small_options();
+  options.grid_stage1 = engine::GridSpec::stage1_defaults();
+  ASSERT_LT(engine::fit_to_width(options.grid_stage1, 290).blocks, 240);
+  TempDir dir;
+  options.checkpoint_dir = dir.path() / "ckpt";
+  (void)align_pipeline(pair.s0, pair.s1, options);
+  const CheckpointState state = CheckpointManifest(options.checkpoint_dir).load();
+  const engine::GridSpec recorded = state.envelope.grid_stage1;
+  EXPECT_EQ(recorded.blocks, 240);
+  EXPECT_EQ(recorded.threads, 64);
+  EXPECT_EQ(recorded.alpha, 4);
+  EXPECT_EQ(recorded.multiprocessors, 30);
+}
+
+TEST(CheckpointResume, RowsFromAnotherChunkingResumeToTheSameAlignment) {
+  // Stage-1 rows and best are the same for every block count
+  // (Engine.BlockCountNeverChangesBestOrSpecialRows), so a checkpoint whose
+  // rows were written under 8 chunks resumes under 3 to the alignment of an
+  // uninterrupted 3-chunk run: what a pre-chunk-target checkpoint meets.
+  const auto pair = seq::make_related_pair(300, 290, 4242);
+  PipelineOptions options = small_options();
+  const PipelineResult reference = align_pipeline(pair.s0, pair.s1, options);
+
+  PipelineOptions wide = options;
+  wide.grid_stage1 = tiny_grid(8, 4, 2);
+  ASSERT_EQ(engine::fit_to_width(wide.grid_stage1, 290).blocks, 8);
+  ASSERT_EQ(engine::fit_to_width(options.grid_stage1, 290).blocks, 3);
+  TempDir dir;
+  wide.checkpoint_dir = dir.path() / "ckpt";
+  wide.checkpoint_crash_after_flushes = 3;
+  EXPECT_THROW((void)align_pipeline(pair.s0, pair.s1, wide), Error);
+
+  CheckpointManifest manifest(wide.checkpoint_dir);
+  CheckpointState state = manifest.load();
+  ASSERT_EQ(state.stage, CheckpointStage::kStage1);
+  state.envelope.grid_stage1 = options.grid_stage1;
+  manifest.save(state);
+
+  options.checkpoint_dir = wide.checkpoint_dir;
+  options.resume = true;
+  const PipelineResult resumed = align_pipeline(pair.s0, pair.s1, options);
+  EXPECT_TRUE(resumed.resume.resumed);
+  EXPECT_GT(resumed.resume.rows_restored, 0);
+  EXPECT_EQ(resumed.best_score, reference.best_score);
+  EXPECT_EQ(resumed.end_point, reference.end_point);
+  EXPECT_EQ(resumed.binary, reference.binary);
+}
+
 TEST(CheckpointResume, StageBoundaryResumeMatchesUninterrupted) {
   const auto pair = seq::make_related_pair(300, 290, 777);
   PipelineOptions options = small_options();

@@ -2,9 +2,11 @@
 // special rows, taps and best cells for every grid shape and worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -42,24 +44,81 @@ GridSpec tiny_grid(Index blocks, Index threads, Index alpha) {
 TEST(Grid, MinimumSizeRequirementShrinksBlocks) {
   GridSpec g = tiny_grid(60, 128, 4);
   g.multiprocessors = 30;
-  // width 1000 << 2*60*128: B must shrink to 1000/(2*128) = 3.
+  // width 1000 << 2*8*128 (the chunk target's 8-block floor): B must shrink
+  // to 1000/(2*128) = 3.
   const GridSpec fit = engine::fit_to_width(g, 1000);
   EXPECT_EQ(fit.blocks, 3);
-  // Wide problems keep the full grid.
-  EXPECT_EQ(engine::fit_to_width(g, 2 * 60 * 128).blocks, 60);
+  // Wide problems keep the full grid once 60 chunks are CPU-sized.
+  EXPECT_EQ(engine::fit_to_width(g, 60 * engine::kCpuChunkColumns).blocks, 60);
+  // 2*60*128 satisfies the minimum size, but the chunk target caps B at 8.
+  EXPECT_EQ(engine::fit_to_width(g, 2 * 60 * 128).blocks, 8);
 }
 
 TEST(Grid, FitPrefersMultiprocessorMultiples) {
+  // The minimum-size shrink only binds below the chunk target's 8-block
+  // floor, so its multiprocessor rounding shows on boards with few SMs.
   GridSpec g = tiny_grid(240, 64, 4);
-  g.multiprocessors = 30;
-  // width 10000: B = 10000/128 = 78 -> rounded down to 60.
-  EXPECT_EQ(engine::fit_to_width(g, 10000).blocks, 60);
+  g.multiprocessors = 4;
+  // width 1000: B = 1000/128 = 7 -> rounded down to 4.
+  EXPECT_EQ(engine::fit_to_width(g, 1000).blocks, 4);
 }
 
 TEST(Grid, FitNeverReturnsZeroBlocks) {
   GridSpec g = tiny_grid(8, 64, 4);
   EXPECT_EQ(engine::fit_to_width(g, 1).blocks, 1);
   EXPECT_EQ(engine::fit_to_width(g, 0).blocks, 1);
+}
+
+TEST(Grid, ChunkTargetTable) {
+  struct Row {
+    Index width, stage1_blocks, stage23_blocks;
+  };
+  // Stage 1 is {240, 64, 4, 30}, Stages 2/3 {60, 128, 4, 30}. Below 2*8*T
+  // columns the paper's minimum-size shrink takes over from the 8-block floor.
+  const Row table[] = {
+      {0, 1, 1},          {100, 1, 1},           {5'000, 8, 8},  {16'383, 8, 8},
+      {52'270, 25, 25},   {71'460, 34, 34},      {491'520, 240, 60},
+      {46'944'323, 240, 60},  // The paper's human chr21 width: the cap holds.
+  };
+  for (const Row& row : table) {
+    EXPECT_EQ(engine::fit_to_width(GridSpec::stage1_defaults(), row.width).blocks,
+              row.stage1_blocks)
+        << "stage 1, width " << row.width;
+    EXPECT_EQ(engine::fit_to_width(GridSpec::stage23_defaults(), row.width).blocks,
+              row.stage23_blocks)
+        << "stage 2/3, width " << row.width;
+  }
+  // At paper scale the chunks are ~195K columns wide (64-bit Index).
+  const Index paper_width = 46'944'323;
+  const Index blocks = engine::fit_to_width(GridSpec::stage1_defaults(), paper_width).blocks;
+  EXPECT_EQ((paper_width + blocks - 1) / blocks, 195'602);
+}
+
+TEST(Grid, ChunkTargetLeavesSmallGridsUnchanged) {
+  // Every grid of at most kMinCpuBlocks blocks keeps the block count of the
+  // paper's rule alone, whatever its width: the test suites' multi-block
+  // grids (PipelineFuzz B <= 6, CheckpointResume 3 and 2, EngineEquivalence
+  // and EngineFuzz B <= 8, the kernel equivalence suites 2 and 3) do not
+  // collapse to fewer chunks.
+  const auto paper_rule = [](const GridSpec& g, Index width) {
+    if (width >= g.min_width()) return g.blocks;
+    Index b = width / (2 * g.threads);
+    if (b >= g.multiprocessors) b -= b % g.multiprocessors;
+    return std::max<Index>(1, b);
+  };
+  for (Index blocks = 1; blocks <= engine::kMinCpuBlocks; ++blocks) {
+    for (const Index threads : {1, 2, 4, 8, 16, 64, 128}) {
+      for (const Index sms : {1, 2, 30}) {
+        GridSpec g = tiny_grid(blocks, threads, 2);
+        g.multiprocessors = sms;
+        for (Index width = 0; width <= 4'096; ++width) {
+          ASSERT_EQ(engine::fit_to_width(g, width).blocks, paper_rule(g, width))
+              << "B " << blocks << " T " << threads << " SMs " << sms << " width " << width;
+        }
+        ASSERT_EQ(engine::fit_to_width(g, 1'000'000).blocks, blocks);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -185,6 +244,62 @@ INSTANTIATE_TEST_SUITE_P(Shapes, EngineEquivalence, ::testing::ValuesIn(engine_c
                            name += std::to_string(p.mode);
                            return name;
                          });
+
+// The block count changes how columns are chunked, never a value: on a
+// tie-heavy pair (a tandem repeat against two copies of a shorter one, so many
+// cells share the best score in several rows and columns) every B gives
+// run_reference's best cell — ties broken toward the smallest (i, j) — and
+// its special rows. Checkpoints rely on this: they record the spec grid, not
+// the chunking fit_to_width derives from it.
+TEST(Engine, BlockCountNeverChangesBestOrSpecialRows) {
+  // A T-free unit and an all-T spacer: no match can extend a copy, so each
+  // copy of repeat_b scores the same at every offset of repeat_a.
+  const std::string unit = "ACGGCAG";
+  std::string repeat_a, repeat_b;
+  for (int k = 0; k < 40; ++k) repeat_a += unit;
+  for (int k = 0; k < 12; ++k) repeat_b += unit;
+  const std::string spacer(100, 'T');
+  const auto a = seq::Sequence::from_string("a", repeat_a);
+  const auto b = seq::Sequence::from_string("b", repeat_b + spacer + repeat_b);
+
+  ProblemSpec spec;
+  spec.a = a.bases();
+  spec.b = b.bases();
+  spec.recurrence = engine::Recurrence::local(paper());
+
+  // Tie-heavy: the best score is reached in many cells, in more than one row
+  // and more than one column.
+  const Score best_score = dp::linear_local_best(spec.a, spec.b, paper()).score;
+  std::set<Index> tie_rows, tie_cols;
+  int ties = 0;
+  (void)dp::sweep_rows(spec.a, spec.b, paper(), AlignMode::kLocal, CellState::kH,
+                       [&](const dp::RowView& row) {
+                         for (std::size_t j = 1; j < row.h.size(); ++j) {
+                           if (row.h[j] != best_score) continue;
+                           ++ties;
+                           tie_rows.insert(row.i);
+                           tie_cols.insert(static_cast<Index>(j));
+                         }
+                       });
+  ASSERT_GE(ties, 20);
+  ASSERT_GT(tie_rows.size(), 1u);
+  ASSERT_GT(tie_cols.size(), 1u);
+
+  const Index interval = 3;
+  spec.grid = tiny_grid(1, 2, 2);
+  dp::LocalBest reference_best;
+  const Captured reference = run_with_hooks(spec, interval, {}, true, &reference_best);
+  ASSERT_FALSE(reference.special_rows.empty());
+  for (const Index blocks : {1, 2, 3, 5, 8}) {
+    spec.grid = tiny_grid(blocks, 2, 2);
+    ASSERT_EQ(engine::fit_to_width(spec.grid, static_cast<Index>(spec.b.size())).blocks, blocks);
+    dp::LocalBest best;
+    const Captured out = run_with_hooks(spec, interval, {}, false, &best);
+    EXPECT_EQ(best, reference_best) << "B " << blocks;
+    EXPECT_EQ(out.special_rows, reference.special_rows) << "B " << blocks;
+    EXPECT_EQ(out.flush_best, reference.flush_best) << "B " << blocks;
+  }
+}
 
 // Fuzz: random geometry, grids, modes and tap sets, engine vs reference.
 class EngineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
