@@ -7,8 +7,8 @@
 // Before handing over to google-benchmark, main() runs a self-timed sweep of
 // the kernel registry — every variant on every tile archetype it can run,
 // plus a Stage-1 chunk-width sweep and a 4 KBP x 4 KBP Stage-1 engine run per
-// dispatch mode — and writes the results to BENCH_kernels.json (override the path with CUDALIGN_BENCH_JSON;
-// set it to "off" to skip the sweep).
+// dispatch mode — and writes the results to BENCH_kernels.json (override the
+// path with CUDALIGN_BENCH_JSON; set it to "off" to skip the sweep).
 #include <benchmark/benchmark.h>
 
 #include <chrono>

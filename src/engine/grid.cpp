@@ -7,8 +7,8 @@ namespace cudalign::engine {
 GridSpec fit_to_width(GridSpec spec, Index width) {
   spec.validate();
   CUDALIGN_CHECK(width >= 0, "problem width must be non-negative");
-  // CPU chunk target: no more blocks than ~kCpuChunkColumns-wide chunks, but
-  // never fewer than kMinCpuBlocks (nor more than the spec asks for).
+  // CPU chunk target (grid.hpp): chunks of at least kCpuChunkColumns, except
+  // that up to kMinCpuBlocks blocks are always allowed.
   spec.blocks = std::min(spec.blocks, std::max(kMinCpuBlocks, width / kCpuChunkColumns));
   if (width >= spec.min_width()) return spec;
 

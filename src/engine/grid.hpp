@@ -8,12 +8,12 @@
 //
 // `fit_to_width` picks the block count of a problem from two rules:
 //  1. CPU chunk target. The paper sized B for the GTX 285's 30 SMs; on a CPU
-//     a column chunk is one tile kernel call, and the striped kernel only
-//     reaches its speed on wide tiles (about half speed at 217 columns, flat
-//     from ~1700 to ~3300 columns, slower again past ~6500; EXPERIMENTS.md
-//     "Stage-1 chunk width"). So B is at most width / 2048, never below 8.
-//     The spec's B (240 in Stage 1) is now the cap, reached only at paper
-//     scale (>= 491,520 columns).
+//     a column chunk is one tile kernel call, and the striped kernel needs
+//     wide tiles: it runs at about half its peak rate at 217 columns (a
+//     52K-column row in 240 chunks) and slows again past ~4K columns, when a
+//     row sweep no longer fits L1d (EXPERIMENTS.md "Stage-1 chunk width").
+//     So B is at most max(8, width / 2048). The spec's B (240 in Stage 1) is
+//     the cap, reached only at paper scale (>= 491,520 columns).
 //  2. The paper's *minimum size requirement*: the problem must be at least
 //     2*B*T columns wide so same-diagonal blocks never touch the same bus
 //     region; when a sub-problem is too narrow the number of blocks is reduced
